@@ -26,7 +26,8 @@ from subseg.errors import ArgumentError, NumericalError, ValidationError
 
 def _input_lines(path: str) -> Iterator[str]:
     if path == "-":
-        return textio.read_corpus(sys.stdin)
+        # Decode the raw bytes like a file; a replaced text stream has no buffer.
+        return textio.read_corpus(getattr(sys.stdin, "buffer", sys.stdin))
     return textio.read_corpus(path)
 
 

@@ -10,7 +10,9 @@ Refinement alternates two steps over a whole lexicon: solve subword
 vectors for the current segmentations, then re-segment every word with
 those vectors, pruning subwords that fall out of use.  The subword
 inventory can only shrink, and the loop stops at the first pass that
-changes no word.
+changes no word.  Each pass scores every (word, in-table substring) pair in
+one gathered numpy pass whose values equal :func:`cosine` bit for bit, so
+refinement segments exactly as per-word :func:`embedding_segment` calls would.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from subseg.subspace import (
     SubwordVocabulary,
     build_segmentation_matrix,
     compute_subword_embeddings,
+    default_ridge,
 )
 from subseg.textio import SegmentedLexicon
 
@@ -77,17 +80,79 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def _substring_similarities(
-    word: str, word_vector: np.ndarray, table: EmbeddingTable
-) -> dict[str, float]:
-    """Cosine for every distinct substring of ``word`` present in ``table``.
+# Pairs scored per block; bounds the two gathered (block, dim) arrays.
+_PAIR_BLOCK = 4096
 
-    Computed one row at a time through :func:`cosine` so scores are
-    bitwise-reproducible regardless of how candidates are grouped.
+
+def _pair_cosines(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Cosine of each row pair of two (n, dim) stacks, equal to :func:`cosine` bit for bit."""
+    # np.linalg.norm of a vector is sqrt(v . v), and vecdot computes each
+    # row's dot product the way np.dot does, so the norms and dots match.
+    left_norms = np.sqrt(np.vecdot(left, left))
+    right_norms = np.sqrt(np.vecdot(right, right))
+    out = np.zeros(left.shape[0], dtype=np.float64)
+    np.divide(
+        np.vecdot(left, right),
+        left_norms * right_norms,
+        out=out,
+        where=(left_norms != 0.0) & (right_norms != 0.0),
+    )
+    return out
+
+
+class _WordSubstrings:
+    """Every (word, distinct substring of that word) pair of a word list.
+
+    Built once; :meth:`similarities` then scores all pairs whose substring
+    is in a subword table with one gathered pass.
     """
-    n = len(word)
-    distinct = {word[i:j] for i in range(n) for j in range(i + 1, n + 1)}
-    return {s: cosine(word_vector, table.vector(s)) for s in sorted(distinct) if s in table}
+
+    def __init__(self, words: Sequence[str]):
+        self.pieces = [
+            sorted({w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}) for w in words
+        ]
+        piece_ids: dict[str, int] = {}
+        pair_piece = [
+            piece_ids.setdefault(piece, len(piece_ids))
+            for pieces in self.pieces
+            for piece in pieces
+        ]
+        self.distinct = list(piece_ids)
+        self.pair_piece = np.array(pair_piece, dtype=np.intp)
+        self.pair_word = np.repeat(
+            np.arange(len(self.pieces), dtype=np.intp), [len(p) for p in self.pieces]
+        )
+
+    def similarities(
+        self, word_vectors: np.ndarray, table: EmbeddingTable
+    ) -> Iterator[dict[str, float]]:
+        """Per word, the cosine of ``word_vectors[word]`` to each substring in ``table``.
+
+        Every value equals :func:`cosine` of the same two vectors bit for bit.
+        """
+        row_of_piece = [table.token_id(p) if p in table else -1 for p in self.distinct]
+        rows = np.array(row_of_piece, dtype=np.intp)[self.pair_piece]
+        present = rows >= 0
+        pair_word, pair_row = self.pair_word[present], rows[present]
+        values = np.zeros(rows.size, dtype=np.float64)
+        scored = np.empty(pair_row.size, dtype=np.float64)
+        for lo in range(0, scored.size, _PAIR_BLOCK):
+            hi = lo + _PAIR_BLOCK
+            scored[lo:hi] = _pair_cosines(
+                word_vectors[pair_word[lo:hi]], table.vectors[pair_row[lo:hi]]
+            )
+        values[present] = scored
+        values_list, present_list = values.tolist(), present.tolist()
+        stop = 0
+        for pieces in self.pieces:
+            start, stop = stop, stop + len(pieces)
+            yield {
+                piece: value
+                for piece, value, keep in zip(
+                    pieces, values_list[start:stop], present_list[start:stop]
+                )
+                if keep
+            }
 
 
 def embedding_segment(
@@ -114,7 +179,15 @@ def embedding_segment(
         )
     if not np.all(np.isfinite(word_vector)):
         raise ValidationError(f"word vector for {word!r} has non-finite components")
-    sims = _substring_similarities(word, word_vector, subword_embeddings)
+    sims = next(_WordSubstrings([word]).similarities(word_vector[None, :], subword_embeddings))
+    return _best_segmentation(word, sims, alpha)
+
+
+def _best_segmentation(word: str, sims: Mapping[str, float], alpha: float) -> ScoredSegmentation:
+    """The dynamic program of :func:`embedding_segment` over precomputed similarities.
+
+    ``sims`` maps every substring of ``word`` that has a vector to its cosine.
+    """
     n = len(word)
     # One hypothesis per prefix length: (score, subword count, sequence).
     best: list[tuple[float, int, tuple[str, ...]] | None] = [None] * (n + 1)
@@ -142,7 +215,7 @@ def embedding_segment(
         # Unreachable intermediate positions are fine (a longer subword can
         # span them), but an unreachable end means no path exists, and that
         # can only happen when some character lacks a vector.
-        missing = next(ch for ch in word if ch not in subword_embeddings)
+        missing = next(ch for ch in word if ch not in sims)
         raise CoverageError(
             f"cannot segment {word!r}: character {missing!r} is missing "
             "from the subword vocabulary"
@@ -174,6 +247,7 @@ def refine(
     incidence from the new segmentations alone so unused subwords drop
     out.  The subword inventory never grows.  Iteration stops after
     ``max_iters`` passes or the first pass with zero changed words.
+    ``ridge=None`` resolves the scale-aware default once for the whole run.
     """
     if max_iters < 1:
         raise ArgumentError(f"max_iters must be at least 1, got {max_iters}")
@@ -190,7 +264,11 @@ def refine(
         if word not in word_embeddings:
             raise ValidationError(f"lexicon word {word!r} has no word embedding")
 
+    if ridge is None:
+        ridge = default_ridge(output_rows)
     words = sorted(lexicon0.words())
+    substrings = _WordSubstrings(words)
+    word_vectors = word_embeddings.vectors[[word_embeddings.token_id(word) for word in words]]
     current = {word: lexicon0[word] for word in words}
     subwords, matrix = build_segmentation_matrix(
         word_embeddings.tokens, lexicon=lexicon0, augment_chars=True
@@ -203,10 +281,8 @@ def refine(
         )
         changed = 0
         resegmented: dict[str, tuple[str, ...]] = {}
-        for word in words:
-            segmentation = embedding_segment(
-                word, word_embeddings.vector(word), solved, alpha
-            ).subwords
+        for word, sims in zip(words, substrings.similarities(word_vectors, solved)):
+            segmentation = _best_segmentation(word, sims, alpha).subwords
             if segmentation != current[word]:
                 changed += 1
             resegmented[word] = segmentation

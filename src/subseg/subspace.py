@@ -8,11 +8,22 @@ co-occurrence rows A C yield targets T = log of the smoothed, normalized
 pooled rows, and subword input vectors are recovered by a ridge-regularized
 right inverse
 
-    E_sub = T W^T (W W^T + ridge I)^{-1}
+    E_sub = T W^T (W W^T + ridge I)^{-1} = T P,   P = Q R^{-T},
 
-computed here as a least-squares solve against the stored per-word output
-rows.  The solve shares one QR factorization across all subword rows and
-streams the pooled rows in batches, so memory stays O(batch * |V|).
+where Q R is the QR factorization of W^T, stacked over sqrt(ridge) I when
+the ridge is positive.  P (|V| x dim) is computed once per output matrix
+and kept on its table, so repeated solves against the same W reuse it.
+
+The targets are never formed densely.  With smoothing lambda > 0, row s is
+a constant plus a sparse row,
+
+    T[s, :] = c_s + S[s, :],   S = log1p(A C / lambda),
+    c_s = log lambda - log(sum_y (A C)[s, y] + lambda |V|),
+
+where S is nonzero only on the pooled nonzeros; with lambda = 0 every
+pooled cell must be positive and S = log(A C), c_s = -log sum_y (A C)[s, y].
+Hence E_sub = c (1^T P) + S P: one sparse-by-dense product plus a rank-one
+update, with memory O(nnz(A C) + |S| dim) instead of O(|S| |V|).
 
 Embedding files are plain text: a ``<row_count> <dim>`` header, then one
 ``token v1 ... v<dim>`` row per vector.  Values use repr-style decimal
@@ -33,13 +44,10 @@ from subseg.errors import ArgumentError, NumericalError, ParseError, ValidationE
 from subseg.cooccur import CooccurrenceCounts
 from subseg.textio import SegmentedLexicon, atomic_text_writer, read_corpus
 
-_DEFAULT_BATCH_ROWS = 1024
-
-
 class EmbeddingTable:
     """Immutable dense token-to-vector table with float64 rows."""
 
-    __slots__ = ("_tokens", "_vectors", "_index")
+    __slots__ = ("_tokens", "_vectors", "_index", "_factor")
 
     def __init__(self, tokens: Sequence[str], vectors: np.ndarray):
         tokens = tuple(tokens)
@@ -66,6 +74,8 @@ class EmbeddingTable:
         self._tokens = tokens
         self._vectors = vectors
         self._index = index
+        # Ridge factor of these rows used as an output matrix; see _ridge_factor.
+        self._factor: _RidgeFactor | None = None
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -310,19 +320,11 @@ def build_segmentation_matrix(
     return subwords, SegmentationMatrix(len(word_tokens), rows)
 
 
-def _log_target_block(
-    pooled: np.ndarray, smoothing: float, vocab_size: int, row_offset: int
-) -> np.ndarray:
-    if smoothing == 0.0:
-        zero_rows, zero_cols = np.nonzero(pooled <= 0.0)
-        if zero_rows.size:
-            s, y = int(zero_rows[0]) + row_offset, int(zero_cols[0])
-            raise NumericalError(
-                f"pooled count for subword row {s} and word column {y} is zero; "
-                "log target is undefined with smoothing 0"
-            )
-    denominators = pooled.sum(axis=1) + smoothing * vocab_size
-    return np.log((pooled + smoothing) / denominators[:, None])
+def _zero_cell_error(row: int, column: int) -> NumericalError:
+    return NumericalError(
+        f"pooled count for subword row {row} and word column {column} is zero; "
+        "log target is undefined with smoothing 0"
+    )
 
 
 def smoothed_log_target(
@@ -333,7 +335,9 @@ def smoothed_log_target(
     """Dense log targets: pooled co-occurrence rows, smoothed and normalized.
 
     Row s is log((AC[s, .] + smoothing) / (sum_y AC[s, y] + smoothing |V|)),
-    so exp of every row sums to one.
+    so exp of every row sums to one.  The solver never builds this array;
+    it is the reference the sparse form in :func:`_sparse_log_target` is
+    tested against.
     """
     if smoothing < 0:
         raise ArgumentError(f"smoothing must be nonnegative, got {smoothing}")
@@ -342,7 +346,32 @@ def smoothed_log_target(
             f"matrix covers {matrix.word_count} words but counts cover {counts.vocab_size}"
         )
     pooled = (matrix.to_csr() @ counts.matrix()).toarray()
-    return _log_target_block(pooled, smoothing, counts.vocab_size, 0)
+    if smoothing == 0.0:
+        zero_rows, zero_cols = np.nonzero(pooled <= 0.0)
+        if zero_rows.size:
+            raise _zero_cell_error(int(zero_rows[0]), int(zero_cols[0]))
+    denominators = pooled.sum(axis=1) + smoothing * counts.vocab_size
+    return np.log((pooled + smoothing) / denominators[:, None])
+
+
+def _sparse_log_target(
+    matrix: SegmentationMatrix, counts: CooccurrenceCounts, smoothing: float
+) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The log targets as (c, S) with T[s, :] = c[s] + S[s, :]; see the module docstring."""
+    pooled = matrix.to_csr() @ counts.matrix()
+    totals = np.asarray(pooled.sum(axis=1)).ravel()
+    vocab_size = counts.vocab_size
+    if smoothing == 0.0:
+        short_rows = np.flatnonzero(np.diff(pooled.indptr) < vocab_size)
+        if short_rows.size:
+            row = int(short_rows[0])
+            present = np.zeros(vocab_size, dtype=bool)
+            present[pooled.indices[pooled.indptr[row] : pooled.indptr[row + 1]]] = True
+            raise _zero_cell_error(row, int(np.argmin(present)))
+        pooled.data = np.log(pooled.data)
+        return -np.log(totals), pooled
+    pooled.data = np.log1p(pooled.data / smoothing)
+    return math.log(smoothing) - np.log(totals + smoothing * vocab_size), pooled
 
 
 def default_ridge(output_rows: EmbeddingTable) -> float:
@@ -352,10 +381,12 @@ def default_ridge(output_rows: EmbeddingTable) -> float:
 
 
 class _RidgeFactor:
-    """Shared QR factorization for the ridge least-squares right inverse.
+    """Right-inverse projector of one output matrix for one ridge strength.
 
-    Rows are solved one at a time with matrix-vector products, so results
-    are bitwise independent of how callers batch the target rows.
+    ``projector`` is P = Q R^{-T} (|V| x dim) from the QR factorization of
+    W^T, stacked over sqrt(ridge) I when ridge > 0, so the ridge solution
+    for any target rows T is T P.  ``column_sums`` is 1^T P, the image of a
+    constant target row.
     """
 
     def __init__(self, output_vectors: np.ndarray, ridge: float):
@@ -375,16 +406,22 @@ class _RidgeFactor:
             )
             q, r = np.linalg.qr(augmented)
             q = q[:n_rows]
-        self._q = q
-        self._r = r
-        self.dim = dim
+        self.ridge = ridge
+        self.projector = np.ascontiguousarray(solve_triangular(r, q.T, lower=False).T)
+        self.column_sums = self.projector.sum(axis=0)
 
-    def solve_rows(self, targets: np.ndarray) -> np.ndarray:
-        out = np.empty((targets.shape[0], self.dim), dtype=np.float64)
-        for position, row in enumerate(targets):
-            projected = self._q.T @ row
-            out[position] = solve_triangular(self._r, projected, lower=False)
-        return out
+
+def _ridge_factor(output_rows: EmbeddingTable, ridge: float) -> _RidgeFactor:
+    """The factor of ``output_rows`` for ``ridge``, kept on the immutable table.
+
+    Only the most recent ridge is kept, so solving repeatedly against one
+    table with one ridge (as :func:`subseg.lexseg.refine` does) factorizes once.
+    """
+    factor = output_rows._factor
+    if factor is None or factor.ridge != ridge:
+        factor = _RidgeFactor(output_rows.vectors, ridge)
+        output_rows._factor = factor
+    return factor
 
 
 def right_inverse_solve(
@@ -414,8 +451,7 @@ def right_inverse_solve(
         )
     if not np.all(np.isfinite(targets)):
         raise ValidationError("targets contain non-finite values")
-    factor = _RidgeFactor(output_rows.vectors, ridge)
-    return factor.solve_rows(targets)
+    return targets @ _ridge_factor(output_rows, ridge).projector
 
 
 def compute_subword_embeddings(
@@ -425,13 +461,13 @@ def compute_subword_embeddings(
     output_rows: EmbeddingTable,
     smoothing: float = 0.1,
     ridge: float | None = None,
-    batch_rows: int = _DEFAULT_BATCH_ROWS,
 ) -> EmbeddingTable:
     """Pool, smooth, and solve: subword vectors in the word embedding space.
 
-    Composition of the smoothed log target with the right-inverse solve,
-    streamed over batches of subword rows against one shared factorization.
-    ``ridge=None`` selects the scale-aware default.
+    Equal, up to rounding, to ``right_inverse_solve(smoothed_log_target(...))``
+    but computed from the sparse-plus-constant form of the targets against
+    the output matrix's cached factor.  Each row depends only on its own
+    incidence row.  ``ridge=None`` selects the scale-aware default.
     """
     if len(subwords) != matrix.row_count:
         raise ValidationError(
@@ -444,18 +480,12 @@ def compute_subword_embeddings(
         )
     if smoothing < 0:
         raise ArgumentError(f"smoothing must be nonnegative, got {smoothing}")
-    if batch_rows < 1:
-        raise ArgumentError(f"batch_rows must be positive, got {batch_rows}")
     if ridge is None:
         ridge = default_ridge(output_rows)
-    factor = _RidgeFactor(output_rows.vectors, ridge)
-    pooled_all = matrix.to_csr() @ counts.matrix()
-    vectors = np.empty((matrix.row_count, output_rows.dim), dtype=np.float64)
-    for start in range(0, matrix.row_count, batch_rows):
-        stop = min(start + batch_rows, matrix.row_count)
-        pooled = pooled_all[start:stop].toarray()
-        block = _log_target_block(pooled, smoothing, counts.vocab_size, start)
-        vectors[start:stop] = factor.solve_rows(block)
+    factor = _ridge_factor(output_rows, ridge)
+    constants, logs = _sparse_log_target(matrix, counts, smoothing)
+    vectors = logs @ factor.projector
+    vectors += np.outer(constants, factor.column_sums)
     if not np.all(np.isfinite(vectors)):
         raise NumericalError("subword solve produced non-finite vectors")
     return EmbeddingTable(subwords.tokens, vectors)

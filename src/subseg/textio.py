@@ -13,6 +13,7 @@ package lowercases or otherwise normalizes text.
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 from collections import Counter
@@ -54,24 +55,31 @@ def atomic_text_writer(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
-def read_corpus(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
+def read_corpus(source: str | Path | IO[str] | IO[bytes] | Iterable[str]) -> Iterator[str]:
     """Yield corpus lines without trailing newlines.
 
-    ``source`` may be a path or an open text stream.  Files are decoded
-    line by line so that a bad byte sequence is reported with its line
-    number instead of surfacing as a bare UnicodeDecodeError.
+    ``source`` may be a path, a binary stream, or an open text stream.  Paths
+    and binary streams are decoded strictly as UTF-8 line by line so that a
+    bad byte sequence is reported with its line number instead of surfacing
+    as a bare UnicodeDecodeError.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise CorpusIOError(f"line {lineno}: invalid UTF-8 ({exc.reason})") from exc
-                yield line.rstrip("\r\n")
+            yield from _decode_lines(handle)
+    elif isinstance(source, (io.BufferedIOBase, io.RawIOBase)):
+        yield from _decode_lines(source)
     else:
         for line in source:
             yield line.rstrip("\r\n")
+
+
+def _decode_lines(handle: IO[bytes]) -> Iterator[str]:
+    for lineno, raw in enumerate(handle, 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusIOError(f"line {lineno}: invalid UTF-8 ({exc.reason})") from exc
+        yield line.rstrip("\r\n")
 
 
 def _chunked(lines: Iterable[str], size: int) -> Iterator[list[str]]:

@@ -18,33 +18,49 @@ CONSONANTS = "bdgklmnprst"
 VOWELS = "aeiou"
 
 
+# The base formulas below repeat with period 55 (11 consonants x 5 vowels).
+_PERIOD = len(CONSONANTS) * len(VOWELS)
+
+
+def _syllables(block: int) -> str:
+    """Consonant-vowel syllables spelling ``block`` >= 1 in bijective base 55.
+
+    Distinct blocks give distinct strings, so appending them to the
+    periodic base forms keeps every morph distinct.
+    """
+    out = []
+    while block > 0:
+        block, digit = divmod(block - 1, _PERIOD)
+        out.append(CONSONANTS[digit % len(CONSONANTS)] + VOWELS[digit // len(CONSONANTS)])
+    return "".join(reversed(out))
+
+
 def make_stems(count: int) -> list[str]:
+    """``count`` distinct stems: the 55 consonant-vowel-consonant base forms,
+    then the same forms extended by one or more consonant-vowel syllables."""
     stems: list[str] = []
-    seen: set[str] = set()
-    i = 0
-    while len(stems) < count:
-        stem = (
-            CONSONANTS[i % len(CONSONANTS)]
-            + VOWELS[(i // len(CONSONANTS)) % len(VOWELS)]
-            + CONSONANTS[(i * 3 + 1) % len(CONSONANTS)]
+    for i in range(count):
+        base = i % _PERIOD
+        stems.append(
+            CONSONANTS[base % len(CONSONANTS)]
+            + VOWELS[(base // len(CONSONANTS)) % len(VOWELS)]
+            + CONSONANTS[(base * 3 + 1) % len(CONSONANTS)]
+            + _syllables(i // _PERIOD)
         )
-        if stem not in seen:
-            stems.append(stem)
-            seen.add(stem)
-        i += 1
     return stems
 
 
 def make_suffixes(count: int) -> list[str]:
+    """``count`` distinct suffixes: the 55 vowel-consonant base forms, then
+    the same forms extended by one or more consonant-vowel syllables."""
     suffixes: list[str] = []
-    seen: set[str] = set()
-    i = 0
-    while len(suffixes) < count:
-        suffix = VOWELS[i % len(VOWELS)] + CONSONANTS[(i * 7 + 2) % len(CONSONANTS)]
-        if suffix not in seen:
-            suffixes.append(suffix)
-            seen.add(suffix)
-        i += 1
+    for i in range(count):
+        base = i % _PERIOD
+        suffixes.append(
+            VOWELS[base % len(VOWELS)]
+            + CONSONANTS[(base * 7 + 2) % len(CONSONANTS)]
+            + _syllables(i // _PERIOD)
+        )
     return suffixes
 
 

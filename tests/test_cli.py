@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +363,43 @@ def test_stdin_and_stdout_streams(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr("sys.stdin", io.StringIO("ab zz\n"))
     assert main(["segment-embed", "-", "--lexicon", str(lexicon)]) == 0
     assert capsys.readouterr().out == "a b zz\n"
+
+
+def _run_cli(args, stdin_bytes, cwd):
+    """Run ``python -m subseg.cli`` in a child process with raw bytes on stdin."""
+    src = str(Path(__import__("subseg").__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "subseg.cli", *args],
+        input=stdin_bytes,
+        capture_output=True,
+        cwd=cwd,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_stdin_is_decoded_strictly_like_a_file(tmp_path):
+    bad = b"ok\nbad \xff\n"
+    (tmp_path / "bad.txt").write_bytes(bad)
+    from_file = _run_cli(["vocab", "bad.txt", "-o", "v.tsv"], b"", tmp_path)
+    from_stdin = _run_cli(["vocab", "-", "-o", "v.tsv"], bad, tmp_path)
+    for result in (from_file, from_stdin):
+        assert result.returncode == 5
+        assert b"line 2: invalid UTF-8" in result.stderr
+        assert b"Traceback" not in result.stderr
+    assert not (tmp_path / "v.tsv").exists()
+
+    (tmp_path / "lex.tsv").write_text("ab\ta b\n", encoding="utf-8")
+    segmented = _run_cli(["segment-embed", "-", "--lexicon", "lex.tsv"], bad, tmp_path)
+    assert segmented.returncode == 5
+    assert b"line 2: invalid UTF-8" in segmented.stderr
+    assert b"Traceback" not in segmented.stderr
+
+    good = _run_cli(["vocab", "-", "-o", "v.tsv"], "ab \u00e9\n\u00e9\n".encode(), tmp_path)
+    assert good.returncode == 0
+    assert load_vocabulary(tmp_path / "v.tsv").freq("\u00e9") == 2
 
 
 def test_usage_errors_exit_2(pipeline, tmp_path, capsys):

@@ -9,6 +9,8 @@ from subseg import (
     SegmentationMatrix,
     SegmentedLexicon,
     ValidationError,
+    build_segmentation_matrix,
+    compute_subword_embeddings,
     cosine,
     default_ridge,
     embedding_segment,
@@ -17,6 +19,8 @@ from subseg import (
     segment_corpus,
     smoothed_log_target,
 )
+
+from subseg.lexseg import _WordSubstrings
 
 from synthdata import agglutinative_corpus, consistent_embeddings
 
@@ -148,6 +152,28 @@ def test_matches_brute_force_on_random_instances():
         assert result.score == score  # same accumulation order, bitwise equal
 
 
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 300])
+def test_batched_similarities_equal_cosine_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    words = ["abcab", "bca", "cc", "a", "abcabcab", "ba"]
+    substrings = sorted({w[i:j] for w in words for i in range(len(w)) for j in range(i + 1, len(w) + 1)})
+    tokens = sorted({"zz", "c"} | {s for s in substrings if rng.random() < 0.6})
+    vectors = rng.normal(size=(len(tokens), dim)) * rng.choice([1e-3, 1.0, 1e3], size=(len(tokens), 1))
+    vectors[tokens.index("c")] = 0.0
+    table = EmbeddingTable(tokens, vectors)
+    word_vectors = rng.normal(size=(len(words), dim))
+    word_vectors[1] = 0.0
+    batched = list(_WordSubstrings(words).similarities(word_vectors, table))
+    assert len(batched) == len(words)
+    for word, vector, sims in zip(words, word_vectors, batched):
+        pieces = {word[i:j] for i in range(len(word)) for j in range(i + 1, len(word) + 1)}
+        expected = {p: cosine(vector, table.vector(p)) for p in sorted(pieces) if p in table}
+        assert sorted(sims) == sorted(expected)
+        got = np.array([sims[p] for p in expected], dtype=np.float64)
+        want = np.array(list(expected.values()), dtype=np.float64)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+
+
 def test_piece_count_is_non_increasing_in_alpha():
     rng = np.random.default_rng(78)
     for _ in range(50):
@@ -231,7 +257,7 @@ def test_refine_validations():
         refine(lexicon, short, counts, output_rows)
 
 
-def _refinement_inputs(num_stems, num_suffixes, dim, seed):
+def _refinement_inputs(num_stems, num_suffixes, dim, seed, extra_merges=20, all_words=False):
     from subseg import bpe_train, bpe_segment, build_vocabulary, count_cooccurrences
 
     lines, gold = agglutinative_corpus(num_stems, num_suffixes)
@@ -239,8 +265,9 @@ def _refinement_inputs(num_stems, num_suffixes, dim, seed):
     counts = count_cooccurrences(lines, vocab, window=5)
     embeddings, output_rows = consistent_embeddings(counts, vocab.tokens, dim, seed)
     charset = {ch for word in gold for ch in word}
-    merges = bpe_train(lines, target_vocab_size=len(charset) + 20)
-    lexicon = SegmentedLexicon({word: bpe_segment(word, merges) for word in sorted(gold)})
+    merges = bpe_train(lines, target_vocab_size=len(charset) + extra_merges)
+    words = vocab.tokens if all_words else sorted(gold)
+    lexicon = SegmentedLexicon({word: bpe_segment(word, merges) for word in words})
     return lexicon, embeddings, counts, output_rows, gold
 
 
@@ -266,6 +293,50 @@ def test_refine_is_deterministic_across_runs():
     assert first.lexicon == second.lexicon
     assert first.subwords == second.subwords
     assert np.array_equal(first.embeddings.vectors, second.embeddings.vectors)
+
+
+def _reference_refine(lexicon0, embeddings, counts, output_rows, max_iters=10):
+    """The refinement loop from public calls: solve, then one embedding_segment per word."""
+    words = sorted(lexicon0.words())
+    current = {word: lexicon0[word] for word in words}
+    subwords, matrix = build_segmentation_matrix(
+        embeddings.tokens, lexicon=lexicon0, augment_chars=True
+    )
+    history = []
+    for iteration in range(1, max_iters + 1):
+        solved = compute_subword_embeddings(subwords, matrix, counts, output_rows)
+        resegmented = {
+            word: embedding_segment(word, embeddings.vector(word), solved).subwords
+            for word in words
+        }
+        changed = sum(resegmented[word] != current[word] for word in words)
+        current = resegmented
+        subwords, matrix = build_segmentation_matrix(
+            embeddings.tokens, lexicon=SegmentedLexicon(current), augment_chars=False
+        )
+        history.append((iteration, changed, len(subwords)))
+        if changed == 0:
+            break
+    final = EmbeddingTable(subwords.tokens, [solved.vector(t) for t in subwords.tokens])
+    return SegmentedLexicon(current), history, final
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        dict(num_stems=6, num_suffixes=4, dim=16, seed=5),
+        # the fixture of acceptance criterion 5
+        dict(num_stems=20, num_suffixes=8, dim=32, seed=11, extra_merges=40, all_words=True),
+    ],
+)
+def test_refine_equals_reference_loop_bitwise(inputs):
+    lexicon0, embeddings, counts, output_rows, _ = _refinement_inputs(**inputs)
+    state = refine(lexicon0, embeddings, counts, output_rows)
+    lexicon, history, final = _reference_refine(lexicon0, embeddings, counts, output_rows)
+    assert state.lexicon == lexicon
+    assert [(s.iteration, s.changed_words, s.subword_count) for s in state.history] == history
+    assert state.embeddings.tokens == final.tokens
+    assert np.array_equal(state.embeddings.vectors, final.vectors)
 
 
 # ---------------------------------------------------------------------------
