@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 
 from subseg.errors import ArgumentError, ParseError, ValidationError
-from subseg.lexseg import ScoredSegmentation
+from subseg.lexseg import ScoredSegmentation, _candidate_order
 from subseg.subspace import SubwordVocabulary
 from subseg.textio import atomic_text_writer, read_corpus
 
@@ -38,11 +38,6 @@ START_SYMBOL = "###"
 _MODEL_HEADER = "LEGROS-BIGRAM v1"
 
 _Hypothesis = tuple[float, int, tuple[str, ...]]
-
-
-def _hypothesis_order(hyp: _Hypothesis) -> tuple[float, int, tuple[str, ...]]:
-    # Highest score first, then fewer subwords, then lexicographic sequence.
-    return (-hyp[0], hyp[1], hyp[2])
 
 
 class BigramModel:
@@ -259,14 +254,14 @@ def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSeg
     complete = _pruned(groups[n], beam_size)
     if not complete:
         raise RuntimeError(f"no complete hypothesis for {word!r}; invariant violated")
-    best = min(complete, key=_hypothesis_order)
+    best = min(complete, key=_candidate_order)
     return ScoredSegmentation(best[2], best[0])
 
 
 def _pruned(hypotheses: list[_Hypothesis], beam_size: int) -> list[_Hypothesis]:
     if len(hypotheses) <= beam_size:
         return hypotheses
-    return sorted(hypotheses, key=_hypothesis_order)[:beam_size]
+    return sorted(hypotheses, key=_candidate_order)[:beam_size]
 
 
 def exact_segment(word: str, model: BigramModel) -> ScoredSegmentation:
@@ -296,14 +291,14 @@ def exact_segment(word: str, model: BigramModel) -> ScoredSegmentation:
                     sequence + (piece,),
                 )
                 incumbent = cell.get(piece)
-                if incumbent is None or _hypothesis_order(candidate) < _hypothesis_order(
+                if incumbent is None or _candidate_order(candidate) < _candidate_order(
                     incumbent
                 ):
                     cell[piece] = candidate
     final = states[n]
     if not final:
         raise RuntimeError(f"no complete analysis for {word!r}; invariant violated")
-    best = min(final.values(), key=_hypothesis_order)
+    best = min(final.values(), key=_candidate_order)
     return ScoredSegmentation(best[2], best[0])
 
 

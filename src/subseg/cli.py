@@ -8,12 +8,15 @@ segmented corpus into a bigram model, ``segment`` applies that model, and the
 ``eval-*`` commands score outputs.
 
 Exit codes: 2 usage, 3 invalid data, 4 numerical failure, 5 I/O.  File
-outputs are written atomically; ``-`` reads stdin or writes stdout.
+outputs are written atomically; ``-`` reads stdin or writes stdout, both as
+strict UTF-8 like files.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
+import functools
 import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -22,6 +25,9 @@ from typing import IO
 
 from subseg import bigram, cooccur, lexseg, metrics, subspace, textio
 from subseg.errors import ArgumentError, NumericalError, ValidationError
+
+# Distinct word types whose segmentation ``segment`` keeps in memory.
+_SEGMENT_MEMO_SIZE = 1 << 16
 
 
 def _input_lines(path: str) -> Iterator[str]:
@@ -34,7 +40,15 @@ def _input_lines(path: str) -> Iterator[str]:
 @contextmanager
 def _output_stream(path: str) -> Iterator[IO[str]]:
     if path == "-":
-        yield sys.stdout
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            # A replaced text stream has no buffer; write to it as it is.
+            yield sys.stdout
+            return
+        # Encode strictly as UTF-8 like a file, whatever the locale says.
+        sys.stdout.flush()
+        yield codecs.getwriter("utf-8")(buffer, "strict")
+        buffer.flush()
     else:
         with textio.atomic_text_writer(path) as handle:
             yield handle
@@ -181,16 +195,17 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     model = bigram.load_model(args.model)
 
+    # Both searches are deterministic per (word, model), so memoizing each
+    # word type is exact; the bound keeps memory flat on streaming input.
+    @functools.lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
+    def segment_word(word: str) -> tuple[str, ...]:
+        if args.exact:
+            return bigram.exact_segment(word, model).subwords
+        return bigram.beam_segment(word, model, beam_size=args.beam).subwords
+
     def rows() -> Iterator[list[tuple[str, ...]]]:
         for line in _input_lines(args.corpus):
-            segmented: list[tuple[str, ...]] = []
-            for word in line.split():
-                if args.exact:
-                    result = bigram.exact_segment(word, model)
-                else:
-                    result = bigram.beam_segment(word, model, beam_size=args.beam)
-                segmented.append(result.subwords)
-            yield segmented
+            yield [segment_word(word) for word in line.split()]
 
     with _output_stream(args.output) as handle:
         _write_segmented(rows(), handle, args.word_per_line)

@@ -18,12 +18,15 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from subseg.errors import ArgumentError, ParseError, ValidationError
 from subseg.textio import Vocabulary, atomic_text_writer, read_corpus, sharded_counter
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _HEADER_RE = re.compile(r"^#COOC v1 \|V\|=(\d+) window=(\d+)$")
 
@@ -69,6 +72,10 @@ class CooccurrenceCounts:
 
     def matrix(self) -> sparse.csr_matrix:
         """Full symmetric matrix as float64 CSR."""
+        # scipy is imported here, not at module level, so stages that never
+        # pool or solve do not pay for loading it.
+        from scipy import sparse
+
         rows: list[int] = []
         cols: list[int] = []
         data: list[float] = []

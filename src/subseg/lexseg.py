@@ -224,6 +224,8 @@ def _best_segmentation(word: str, sims: Mapping[str, float], alpha: float) -> Sc
 
 
 def _candidate_order(hyp: tuple[float, int, tuple[str, ...]]) -> tuple[float, int, tuple[str, ...]]:
+    # Highest score first, then fewer subwords, then lexicographic sequence;
+    # shared with the bigram beam and exact searches.
     return (-hyp[0], hyp[1], hyp[2])
 
 

@@ -35,14 +35,17 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import solve_triangular
 
 from subseg.errors import ArgumentError, NumericalError, ParseError, ValidationError
 from subseg.cooccur import CooccurrenceCounts
 from subseg.textio import SegmentedLexicon, atomic_text_writer, read_corpus
+
+if TYPE_CHECKING:
+    from scipy import sparse
+
 
 class EmbeddingTable:
     """Immutable dense token-to-vector table with float64 rows."""
@@ -252,6 +255,8 @@ class SegmentationMatrix:
         return self._rows[subword_id]
 
     def to_csr(self) -> sparse.csr_matrix:
+        from scipy import sparse  # deferred like CooccurrenceCounts.matrix
+
         indptr = [0]
         indices: list[int] = []
         for row in self._rows:
@@ -390,6 +395,8 @@ class _RidgeFactor:
     """
 
     def __init__(self, output_vectors: np.ndarray, ridge: float):
+        from scipy.linalg import solve_triangular  # deferred like CooccurrenceCounts.matrix
+
         n_rows, dim = output_vectors.shape
         if ridge < 0:
             raise ArgumentError(f"ridge must be nonnegative, got {ridge}")

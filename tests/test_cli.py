@@ -11,6 +11,7 @@ import pytest
 from subseg import (
     beam_segment,
     boundary_prf,
+    exact_segment,
     load_embeddings,
     load_lexicon,
     load_model,
@@ -221,7 +222,7 @@ def test_segmented_corpus_matches_lexicon(pipeline):
         assert refined[word] == tuple(line.split())
 
 
-def test_segment_beam_equals_library_calls(pipeline, tmp_path):
+def test_segment_beam_equals_library_calls(pipeline, tmp_path, monkeypatch):
     model = load_model(pipeline["model"])
     words_file = tmp_path / "words.txt"
     words = ["badim", "rekun", "zzz"]
@@ -243,6 +244,29 @@ def test_segment_beam_equals_library_calls(pipeline, tmp_path):
     got = out.read_text(encoding="utf-8").splitlines()
     expected = [" ".join(beam_segment(w, model).subwords) for w in words]
     assert got == expected
+
+    # Repeated words and several words per line: each word type is searched
+    # once, and every occurrence gets the library's answer.
+    lines = ["badim rekun badim", "", "zzz badim zzz zzz", "rekun"]
+    lines_file = tmp_path / "lines.txt"
+    lines_file.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    for flags, search in (([], beam_segment), (["--exact"], exact_segment)):
+        calls = []
+
+        def counted(word, *rest, _search=search, **options):
+            calls.append(word)
+            return _search(word, *rest, **options)
+
+        monkeypatch.setattr(f"subseg.bigram.{search.__name__}", counted)
+        args = ["segment", str(lines_file), "--model", str(pipeline["model"]), *flags]
+        assert main([*args, "-o", str(out)]) == 0
+        got = out.read_text(encoding="utf-8").splitlines()
+        expected = [
+            " ".join(part for w in line.split() for part in search(w, model).subwords)
+            for line in lines
+        ]
+        assert got == expected
+        assert sorted(calls) == ["badim", "rekun", "zzz"]
 
 
 def test_segment_exact_flag(pipeline, tmp_path):
@@ -365,19 +389,25 @@ def test_stdin_and_stdout_streams(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out == "a b zz\n"
 
 
-def _run_cli(args, stdin_bytes, cwd):
-    """Run ``python -m subseg.cli`` in a child process with raw bytes on stdin."""
+def _run_python(args, stdin_bytes, cwd, **env_overrides):
+    """Run the interpreter in a child process with ``subseg`` importable."""
     src = str(Path(__import__("subseg").__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_overrides)
     return subprocess.run(
-        [sys.executable, "-m", "subseg.cli", *args],
+        [sys.executable, *args],
         input=stdin_bytes,
         capture_output=True,
         cwd=cwd,
         env=env,
         timeout=120,
     )
+
+
+def _run_cli(args, stdin_bytes, cwd, **env_overrides):
+    """Run ``python -m subseg.cli`` in a child process with raw bytes on stdin."""
+    return _run_python(["-m", "subseg.cli", *args], stdin_bytes, cwd, **env_overrides)
 
 
 def test_stdin_is_decoded_strictly_like_a_file(tmp_path):
@@ -400,6 +430,34 @@ def test_stdin_is_decoded_strictly_like_a_file(tmp_path):
     good = _run_cli(["vocab", "-", "-o", "v.tsv"], "ab \u00e9\n\u00e9\n".encode(), tmp_path)
     assert good.returncode == 0
     assert load_vocabulary(tmp_path / "v.tsv").freq("\u00e9") == 2
+
+
+def test_stdout_is_encoded_as_utf8_like_a_file(tmp_path):
+    (tmp_path / "u.txt").write_text("\u00e9t\u00e9 caf\u00e9\n", encoding="utf-8")
+    (tmp_path / "u.lex").write_text("\u00e9t\u00e9\t\u00e9t \u00e9\n", encoding="utf-8")
+    args = ["segment-embed", "u.txt", "--lexicon", "u.lex"]
+    to_file = _run_cli([*args, "-o", "out.txt"], b"", tmp_path, PYTHONIOENCODING="ascii")
+    to_stdout = _run_cli(args, b"", tmp_path, PYTHONIOENCODING="ascii")
+    assert to_file.returncode == 0 and to_stdout.returncode == 0, to_stdout.stderr
+    assert b"Traceback" not in to_stdout.stderr
+    expected = "\u00e9t \u00e9 caf\u00e9\n".encode("utf-8")
+    assert (tmp_path / "out.txt").read_bytes() == expected
+    assert to_stdout.stdout == expected
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    script = (
+        "import subseg, subseg.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    imported = _run_python(["-c", script], b"", tmp_path)
+    assert imported.returncode == 0, imported.stderr
+    assert imported.stdout.strip() == b"[]"
+
+    (tmp_path / "corpus.txt").write_text("a b a\nb\n", encoding="utf-8")
+    vocab = _run_cli(["vocab", "corpus.txt", "-o", "v.tsv"], b"", tmp_path)
+    assert vocab.returncode == 0, vocab.stderr
+    assert load_vocabulary(tmp_path / "v.tsv").freq("a") == 2
 
 
 def test_usage_errors_exit_2(pipeline, tmp_path, capsys):
