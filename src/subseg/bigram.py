@@ -31,7 +31,7 @@ from pathlib import Path
 from subseg.errors import ArgumentError, ParseError, ValidationError
 from subseg.lexseg import ScoredSegmentation, _candidate_order
 from subseg.subspace import SubwordVocabulary
-from subseg.textio import atomic_text_writer, read_corpus
+from subseg.textio import _check_token, atomic_text_writer, read_corpus
 
 START_SYMBOL = "###"
 
@@ -66,8 +66,7 @@ class BigramModel:
     ):
         unigrams: dict[str, int] = {}
         for token, count in unigram_counts.items():
-            if not token or any(ch.isspace() for ch in token):
-                raise ValidationError(f"invalid subword {token!r}")
+            _check_token(token, "subword")
             if token == START_SYMBOL:
                 raise ValidationError(f"start symbol {START_SYMBOL!r} cannot be a subword")
             if not isinstance(count, int) or count < 0:
@@ -202,8 +201,7 @@ def distill(groups: Iterable[Sequence[str]]) -> BigramModel:
         seen_any = True
         prev = START_SYMBOL
         for token in group:
-            if not token or any(ch.isspace() for ch in token):
-                raise ValidationError(f"invalid subword {token!r} in segmented corpus")
+            _check_token(token, "subword in segmented corpus")
             if token == START_SYMBOL:
                 raise ValidationError(
                     f"start symbol {START_SYMBOL!r} may not occur in a segmented corpus"
@@ -228,8 +226,7 @@ def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSeg
     fewer subwords and then lexicographically.  Multi-character candidates
     must be inventory members; single characters are always admissible.
     """
-    if not word or any(ch.isspace() for ch in word):
-        raise ArgumentError(f"invalid word {word!r}")
+    _check_token(word, "word", ArgumentError)
     if beam_size < 1:
         raise ArgumentError(f"beam_size must be at least 1, got {beam_size}")
     n = len(word)
@@ -272,8 +269,7 @@ def exact_segment(word: str, model: BigramModel) -> ScoredSegmentation:
     admissibility rule matches :func:`beam_segment`, and so does the tie
     order, which makes this the reference the beam is checked against.
     """
-    if not word or any(ch.isspace() for ch in word):
-        raise ArgumentError(f"invalid word {word!r}")
+    _check_token(word, "word", ArgumentError)
     n = len(word)
     max_len = max(model.max_subword_length, 1)
     states: list[dict[str, _Hypothesis]] = [{} for _ in range(n + 1)]

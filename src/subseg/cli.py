@@ -80,7 +80,6 @@ def _cmd_vocab(args: argparse.Namespace) -> int:
         _input_lines(args.corpus),
         max_size=args.max_size,
         min_freq=args.min_freq,
-        threads=args.threads,
     )
     textio.save_vocabulary(vocab, args.output)
     return 0
@@ -88,18 +87,14 @@ def _cmd_vocab(args: argparse.Namespace) -> int:
 
 def _cmd_cooc(args: argparse.Namespace) -> int:
     vocab = textio.load_vocabulary(args.vocab)
-    counts = cooccur.count_cooccurrences(
-        _input_lines(args.corpus), vocab, window=args.window, threads=args.threads
-    )
+    counts = cooccur.count_cooccurrences(_input_lines(args.corpus), vocab, window=args.window)
     cooccur.save_counts(counts, args.output)
     return 0
 
 
 def _cmd_init_bpe(args: argparse.Namespace) -> int:
     vocab = textio.load_vocabulary(args.vocab)
-    merges = textio.bpe_train(
-        _input_lines(args.corpus), args.target_size, threads=args.threads
-    )
+    merges = textio.bpe_train(_input_lines(args.corpus), args.target_size)
     lexicon = textio.SegmentedLexicon(
         (word, textio.bpe_segment(word, merges)) for word in vocab.tokens
     )
@@ -247,15 +242,6 @@ def _cmd_eval_renyi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for counting; results are identical for any value",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subseg",
@@ -267,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="?", default="-", help="corpus file or - for stdin")
     p.add_argument("--max-size", type=int, default=200_000, help="keep at most this many types")
     p.add_argument("--min-freq", type=int, default=1, help="drop rarer types")
-    _add_threads(p)
     p.add_argument("-o", "--output", required=True, help="vocabulary file to write")
     p.set_defaults(func=_cmd_vocab)
 
@@ -275,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="?", default="-")
     p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--window", type=int, default=5, help="window size in positions")
-    _add_threads(p)
     p.add_argument("-o", "--output", required=True, help="counts file to write")
     p.set_defaults(func=_cmd_cooc)
 
@@ -287,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-size", type=int, required=True, help="induced subword inventory size")
     p.add_argument("--lexicon-out", required=True, help="initial lexicon file to write")
     p.add_argument("--merges-out", default=None, help="optionally save the merge rules")
-    _add_threads(p)
     p.set_defaults(func=_cmd_init_bpe)
 
     p = commands.add_parser("subword-embed", help="solve subword vectors in the word space")

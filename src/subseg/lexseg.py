@@ -32,7 +32,7 @@ from subseg.subspace import (
     compute_subword_embeddings,
     default_ridge,
 )
-from subseg.textio import SegmentedLexicon
+from subseg.textio import SegmentedLexicon, _check_token
 
 OOV_POLICIES = ("error", "whole", "char")
 
@@ -170,8 +170,7 @@ def embedding_segment(
     sequence.  A position that no in-table subword can reach raises a
     coverage error naming the missing character.
     """
-    if not word or any(ch.isspace() for ch in word):
-        raise ArgumentError(f"invalid word {word!r}")
+    _check_token(word, "word", ArgumentError)
     word_vector = np.asarray(word_vector, dtype=np.float64)
     if word_vector.shape != (subword_embeddings.dim,):
         raise ArgumentError(

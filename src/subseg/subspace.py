@@ -41,7 +41,7 @@ import numpy as np
 
 from subseg.errors import ArgumentError, NumericalError, ParseError, ValidationError
 from subseg.cooccur import CooccurrenceCounts
-from subseg.textio import SegmentedLexicon, atomic_text_writer, read_corpus
+from subseg.textio import SegmentedLexicon, _check_token, atomic_text_writer, read_corpus
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -68,8 +68,7 @@ class EmbeddingTable:
             raise ValidationError(f"non-finite vector for token {tokens[bad]!r}")
         index: dict[str, int] = {}
         for position, token in enumerate(tokens):
-            if not token or any(ch.isspace() for ch in token):
-                raise ValidationError(f"invalid embedding token {token!r}")
+            _check_token(token, "embedding token")
             if token in index:
                 raise ValidationError(f"duplicate embedding token {token!r}")
             index[token] = position
@@ -181,8 +180,7 @@ class SubwordVocabulary:
         tokens = tuple(tokens)
         index: dict[str, int] = {}
         for position, token in enumerate(tokens):
-            if not token or any(ch.isspace() for ch in token):
-                raise ValidationError(f"invalid subword {token!r}")
+            _check_token(token, "subword")
             if token in index:
                 raise ValidationError(f"duplicate subword {token!r}")
             index[token] = position

@@ -17,8 +17,7 @@ import io
 import os
 import tempfile
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO
@@ -27,14 +26,15 @@ from subseg.errors import ArgumentError, CorpusIOError, ParseError, ValidationEr
 
 MergePair = tuple[str, str]
 
-_SHARD_LINES = 4096
 
-
-def _check_token(token: str, what: str = "token") -> str:
+def _check_token(
+    token: str, what: str = "token", error: type[Exception] = ValidationError
+) -> str:
+    """Return ``token`` if it is nonempty and free of whitespace, else raise ``error``."""
     if not token:
-        raise ValidationError(f"empty {what}")
+        raise error(f"empty {what}")
     if any(ch.isspace() for ch in token):
-        raise ValidationError(f"{what} {token!r} contains whitespace")
+        raise error(f"{what} {token!r} contains whitespace")
     return token
 
 
@@ -80,46 +80,6 @@ def _decode_lines(handle: IO[bytes]) -> Iterator[str]:
         except UnicodeDecodeError as exc:
             raise CorpusIOError(f"line {lineno}: invalid UTF-8 ({exc.reason})") from exc
         yield line.rstrip("\r\n")
-
-
-def _chunked(lines: Iterable[str], size: int) -> Iterator[list[str]]:
-    chunk: list[str] = []
-    for line in lines:
-        chunk.append(line)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
-
-
-def sharded_counter(
-    lines: Iterable[str],
-    count_chunk: Callable[[list[str]], Counter],
-    threads: int = 1,
-) -> Counter:
-    """Map ``count_chunk`` over line shards and merge by elementwise sum.
-
-    The merge is an exact sum, so the result is identical for any thread
-    count and any sharding of the input.
-    """
-    if threads <= 1:
-        total: Counter = Counter()
-        for chunk in _chunked(lines, _SHARD_LINES):
-            total.update(count_chunk(chunk))
-        return total
-    total = Counter()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(count_chunk, _chunked(lines, _SHARD_LINES)):
-            total.update(part)
-    return total
-
-
-def _count_chunk_tokens(chunk: list[str]) -> Counter:
-    counts: Counter = Counter()
-    for line in chunk:
-        counts.update(line.split())
-    return counts
 
 
 class Vocabulary:
@@ -192,7 +152,6 @@ def build_vocabulary(
     lines: Iterable[str],
     max_size: int,
     min_freq: int = 1,
-    threads: int = 1,
 ) -> Vocabulary:
     """Count token types and keep the ``max_size`` most frequent ones.
 
@@ -203,7 +162,7 @@ def build_vocabulary(
         raise ArgumentError(f"max_size must be positive, got {max_size}")
     if min_freq < 1:
         raise ArgumentError(f"min_freq must be at least 1, got {min_freq}")
-    counts = sharded_counter(lines, _count_chunk_tokens, threads)
+    counts = Counter(token for line in lines for token in line.split())
     kept = [(token, freq) for token, freq in counts.items() if freq >= min_freq]
     kept.sort(key=lambda item: (-item[1], item[0]))
     return Vocabulary(kept[:max_size])
@@ -335,7 +294,6 @@ def _apply_merge(symbols: tuple[str, ...], pair: MergePair) -> tuple[str, ...]:
 def bpe_train(
     lines: Iterable[str],
     target_vocab_size: int,
-    threads: int = 1,
 ) -> list[MergePair]:
     """Learn merge rules by iterated most-frequent-pair merging.
 
@@ -346,7 +304,7 @@ def bpe_train(
     stops once the induced vocabulary (characters plus merge products)
     reaches ``target_vocab_size``.
     """
-    word_counts = sharded_counter(lines, _count_chunk_tokens, threads)
+    word_counts = Counter(token for line in lines for token in line.split())
     charset = {ch for word in word_counts for ch in word}
     if target_vocab_size < len(charset):
         raise ArgumentError(

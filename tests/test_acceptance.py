@@ -88,9 +88,7 @@ def test_criterion_1_exact_regime_solver():
     words = [f"w{i:02d}" for i in range(n)]
     dense = rng.integers(1, 50, size=(n, n))
     dense = dense + dense.T  # symmetric, strictly positive
-    entries = {
-        (i, j): int(dense[i, j]) for i in range(n) for j in range(i, n)
-    }
+    entries = [(i, j, int(dense[i, j])) for i in range(n) for j in range(i, n)]
     counts = CooccurrenceCounts(vocab_size=n, window=5, counts=entries)
 
     # random well-conditioned square output matrix (condition number 2)

@@ -10,6 +10,7 @@ from subseg import (
     ParseError,
     ValidationError,
     build_vocabulary,
+    cooccur,
     count_cooccurrences,
     load_counts,
     save_counts,
@@ -89,14 +90,34 @@ def test_window_zero_is_an_argument_error():
         count_cooccurrences(["a b"], vocab, window=0)
 
 
+def _random_lines(rng):
+    # a line of zero tokens is blank
+    return [
+        " ".join(rng.choice("abcdez") for _ in range(rng.randint(0, 12)))
+        for _ in range(rng.randint(1, 30))
+    ]
+
+
 def test_counts_match_ordered_pair_oracle_on_random_corpora():
     rng = random.Random(1234)
     for _ in range(20):
-        lines = [
-            " ".join(rng.choice("abcdez") for _ in range(rng.randint(1, 12)))
-            for _ in range(rng.randint(1, 30))
-        ]
+        lines = _random_lines(rng)
         vocab = build_vocabulary(lines, max_size=4)  # leaves some tokens OOV
+        window = rng.randint(1, 6)
+        counts = count_cooccurrences(lines, vocab, window=window)
+        assert _as_dict(counts) == _oracle_counts(lines, vocab, window)
+
+
+def test_counts_match_oracle_across_many_blocks(monkeypatch):
+    # Blocks close at the first line end past 8 ids, so each corpus spans
+    # several blocks whose partial tables must merge exactly; pairs() then
+    # reads the table back three rows at a time.
+    monkeypatch.setattr(cooccur, "_BLOCK_TOKENS", 8)
+    monkeypatch.setattr(cooccur, "_PAIR_CHUNK", 3)
+    rng = random.Random(4321)
+    for _ in range(20):
+        lines = _random_lines(rng)
+        vocab = build_vocabulary(lines, max_size=4)
         window = rng.randint(1, 6)
         counts = count_cooccurrences(lines, vocab, window=window)
         assert _as_dict(counts) == _oracle_counts(lines, vocab, window)
@@ -125,14 +146,6 @@ def test_line_order_permutation_invariance():
     assert count_cooccurrences(shuffled, vocab, window=2) == base
 
 
-def test_thread_count_invariance():
-    lines = [f"w{i % 4} w{(i + 1) % 4} w{(i + 2) % 5}" for i in range(4000)]
-    vocab = build_vocabulary(lines, max_size=10)
-    base = count_cooccurrences(lines, vocab, window=3, threads=1)
-    for threads in (2, 4):
-        assert count_cooccurrences(lines, vocab, window=3, threads=threads) == base
-
-
 def test_matrix_puts_diagonal_counts_on_the_diagonal():
     vocab = build_vocabulary(["a b a"], max_size=10)
     counts = count_cooccurrences(["a b a"], vocab, window=5)
@@ -144,11 +157,17 @@ def test_matrix_puts_diagonal_counts_on_the_diagonal():
 
 def test_counts_validate_canonical_storage():
     with pytest.raises(ValidationError):
-        CooccurrenceCounts(vocab_size=3, window=2, counts={(2, 1): 4})
+        CooccurrenceCounts(vocab_size=3, window=2, counts=[(2, 1, 4)])
     with pytest.raises(ValidationError):
-        CooccurrenceCounts(vocab_size=3, window=2, counts={(0, 5): 4})
+        CooccurrenceCounts(vocab_size=3, window=2, counts=[(0, 5, 4)])
     with pytest.raises(ValidationError):
-        CooccurrenceCounts(vocab_size=3, window=2, counts={(0, 1): 0})
+        CooccurrenceCounts(vocab_size=3, window=2, counts=[(0, 1, 0)])
+    with pytest.raises(ValidationError, match="rows"):
+        CooccurrenceCounts(vocab_size=3, window=2, counts=[(0, 1)])
+    with pytest.raises(ValidationError, match=r"\(0, 1\) does not come strictly after \(0, 1\)"):
+        CooccurrenceCounts(vocab_size=3, window=2, counts=[(0, 1, 4), (0, 1, 2)])
+    with pytest.raises(ValidationError, match=r"\(0, 2\) does not come strictly after \(1, 1\)"):
+        CooccurrenceCounts(vocab_size=3, window=2, counts=[(0, 1, 4), (1, 1, 2), (0, 2, 1)])
 
 
 def test_save_load_round_trip(tmp_path):
@@ -175,6 +194,7 @@ def test_diagonal_triple_loads_as_diagonal_entry(tmp_path):
         ("0\t9\t5\n", "line 2"),  # id out of range
         ("0\t1\t0\n", "line 2"),  # non-positive count
         ("0\t1\n", "line 2"),  # missing field
+        ("0\t1\t99999999999999999999\n", "line 2"),  # count beyond int64
     ],
 )
 def test_load_counts_rejects_malformed_triples(tmp_path, body, pattern):
@@ -186,9 +206,10 @@ def test_load_counts_rejects_malformed_triples(tmp_path, body, pattern):
 
 def test_load_counts_rejects_bad_header(tmp_path):
     path = tmp_path / "counts.tsv"
-    path.write_text("#CO v9\n0\t0\t1\n", encoding="utf-8")
-    with pytest.raises(ValidationError):
-        load_counts(path)
+    for header in ("#CO v9", "#COOC v1 |V|=1 window=0"):
+        path.write_text(header + "\n0\t0\t1\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 1"):
+            load_counts(path)
 
 
 def test_matrix_round_trips_through_scipy():

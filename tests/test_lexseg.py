@@ -215,7 +215,7 @@ def test_score_respects_upper_bound():
 def _two_word_setup():
     """Two words with no shared optimal split: already a fixed point."""
     words = ["ab", "ba"]
-    counts = CooccurrenceCounts(vocab_size=2, window=5, counts={(0, 1): 6})
+    counts = CooccurrenceCounts(vocab_size=2, window=5, counts=[(0, 1, 6)])
     output_rows = EmbeddingTable(words, np.array([[1.0, 0.3], [-0.2, 1.0]]))
     targets = smoothed_log_target(SegmentationMatrix(2, [(0,), (1,)]), counts)
     word_vectors = right_inverse_solve(targets, output_rows, ridge=default_ridge(output_rows))

@@ -44,11 +44,11 @@ def _random_table(rng, tokens, dim):
 
 def _counts_from_dense(dense, window=5):
     dense = np.asarray(dense)
-    entries = {}
+    entries = []
     for i in range(dense.shape[0]):
         for j in range(i, dense.shape[1]):
             if dense[i, j]:
-                entries[(i, j)] = int(dense[i, j])
+                entries.append((i, j, int(dense[i, j])))
     return CooccurrenceCounts(vocab_size=dense.shape[0], window=window, counts=entries)
 
 

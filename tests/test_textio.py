@@ -21,7 +21,7 @@ from subseg import (
     save_merges,
     save_vocabulary,
 )
-from subseg.textio import atomic_text_writer, sharded_counter
+from subseg.textio import atomic_text_writer
 
 
 # ---------------------------------------------------------------------------
@@ -115,29 +115,6 @@ def test_build_vocabulary_is_line_order_invariant():
         shuffled = lines[:]
         rng.shuffle(shuffled)
         assert build_vocabulary(shuffled, max_size=50) == base
-
-
-def test_build_vocabulary_thread_count_invariant():
-    lines = [f"w{i % 13} w{i % 7} w{i % 3}" for i in range(5000)]
-    base = build_vocabulary(lines, max_size=50)
-    for threads in (2, 3, 8):
-        assert build_vocabulary(lines, max_size=50, threads=threads) == base
-
-
-def test_sharded_counter_matches_sequential_merge():
-    lines = [f"t{i % 5}" for i in range(10000)]
-
-    def count_chunk(chunk):
-        from collections import Counter
-
-        counter = Counter()
-        for line in chunk:
-            counter.update(line.split())
-        return counter
-
-    sequential = sharded_counter(lines, count_chunk, threads=1)
-    for threads in (2, 4):
-        assert sharded_counter(lines, count_chunk, threads=threads) == sequential
 
 
 def test_vocabulary_rejects_out_of_order_entries():
