@@ -33,6 +33,8 @@ formatting and survive a save/load round trip bit for bit.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -138,8 +140,22 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         raise ParseError(f"non-integer header field in {header!r}", 1) from None
     if dim < 1:
         raise ParseError(f"dimension must be positive, got {dim}", 1)
+    if row_count < 0:
+        raise ParseError(f"row count must be non-negative, got {row_count}", 1)
+    # Every row takes at least 2 * dim + 1 bytes, so a regular file too small
+    # for the declared rows is rejected before anything is allocated.  Rows
+    # then go into one block sized at the first row: all declared rows for a
+    # regular file; from a pipe, a block that doubles as rows arrive.
+    info = os.stat(path)
+    regular = stat.S_ISREG(info.st_mode)
+    if regular and row_count * (2 * dim + 1) > info.st_size:
+        raise ParseError(
+            f"header declares {row_count} rows of dimension {dim}, "
+            f"more than the file's {info.st_size} bytes can hold",
+            1,
+        )
     tokens: list[str] = []
-    vectors = np.empty((row_count, dim), dtype=np.float64)
+    vectors = np.empty((0, dim), dtype=np.float64)
     filled = 0
     for lineno, line in enumerate(lines, 2):
         fields = line.split(" ")
@@ -149,6 +165,11 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             )
         if filled >= row_count:
             raise ParseError(f"more than the declared {row_count} rows", lineno)
+        if filled == len(vectors):
+            capacity = row_count if regular else min(row_count, max(1024, 2 * filled))
+            grown = np.empty((capacity, dim), dtype=np.float64)
+            grown[:filled] = vectors
+            vectors = grown
         try:
             vectors[filled] = [float(v) for v in fields[1:]]
         except ValueError:

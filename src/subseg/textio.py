@@ -13,10 +13,12 @@ package lowercases or otherwise normalizes text.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import io
 import os
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from pathlib import Path
@@ -299,10 +301,21 @@ def bpe_train(
 
     Pair counts are accumulated per word type, weighted by corpus
     frequency; merges never cross word boundaries and no end-of-word
-    marker is introduced.  Count ties are broken lexicographically on the
-    (left, right) pair, so training is deterministic.  The merge loop
-    stops once the induced vocabulary (characters plus merge products)
-    reaches ``target_vocab_size``.
+    marker is introduced.  A pair's count includes overlapping occurrences
+    (``aaa`` counts ``(a, a)`` twice), while a merge joins the leftmost
+    non-overlapping occurrences (``aaa`` becomes ``aa a``).  Count ties
+    are broken lexicographically on the (left, right) pair, so training is
+    deterministic.  The merge loop stops once the induced vocabulary
+    (characters plus merge products) reaches ``target_vocab_size``, or
+    when no adjacent pair is left.
+
+    Counts live in a table updated between merges: an index from each pair
+    to the word types that contain it means a merge re-tokenizes only those
+    types, subtracting each one's old adjacent pairs and adding its new
+    ones, and a lazy heap keyed by ``(-count, pair)`` yields the best pair
+    (an entry whose count is out of date is dropped when it reaches the
+    top).  A merge thus costs time in the types it touches, not in the
+    whole vocabulary.
     """
     word_counts = Counter(token for line in lines for token in line.split())
     charset = {ch for word in word_counts for ch in word}
@@ -311,22 +324,70 @@ def bpe_train(
             f"target vocabulary size {target_vocab_size} is below the "
             f"distinct character count {len(charset)}"
         )
+    # Single-character types hold no pair and never change.
+    pieces = [tuple(word) for word in word_counts if len(word) > 1]
+    weights = [word_counts[word] for word in word_counts if len(word) > 1]
+    pair_counts: defaultdict[MergePair, int] = defaultdict(int)
+    pair_types: defaultdict[MergePair, set[int]] = defaultdict(set)
+    for index, symbols in enumerate(pieces):
+        weight = weights[index]
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += weight
+            pair_types[pair].add(index)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
     vocab = set(charset)
-    pieces = {word: tuple(word) for word in word_counts}
     merges: list[MergePair] = []
-    while len(vocab) < target_vocab_size:
-        pair_counts: Counter = Counter()
-        for word, symbols in pieces.items():
-            weight = word_counts[word]
-            for left, right in zip(symbols, symbols[1:]):
-                pair_counts[(left, right)] += weight
-        if not pair_counts:
-            break
-        best = min(pair_counts.items(), key=lambda item: (-item[1], item[0]))[0]
+    while len(vocab) < target_vocab_size and heap:
+        negated, best = heapq.heappop(heap)
+        if pair_counts.get(best) != -negated:
+            continue
         merges.append(best)
         vocab.add(best[0] + best[1])
-        pieces = {word: _apply_merge(symbols, best) for word, symbols in pieces.items()}
+        change: defaultdict[MergePair, int] = defaultdict(int)  # net count change per pair
+        for index in list(pair_types[best]):
+            old = pieces[index]
+            new = pieces[index] = _apply_merge(old, best)
+            weight = weights[index]
+            old_pairs = list(zip(old, old[1:]))
+            new_pairs = list(zip(new, new[1:]))
+            for pair in old_pairs:
+                change[pair] -= weight
+            for pair in new_pairs:
+                change[pair] += weight
+            old_set, new_set = set(old_pairs), set(new_pairs)
+            for pair in old_set - new_set:
+                pair_types[pair].discard(index)
+            for pair in new_set - old_set:
+                pair_types[pair].add(index)
+        for pair, delta in change.items():
+            if not delta:
+                continue
+            count = pair_counts[pair] + delta
+            if count:
+                pair_counts[pair] = count
+                heapq.heappush(heap, (-count, pair))
+            else:
+                del pair_counts[pair]
+                del pair_types[pair]
     return merges
+
+
+# A copy of the last merge list bpe_segment saw, with its rank table.
+_merge_ranks_memo: tuple[list[MergePair], dict[MergePair, list[int]]] = ([], {})
+
+
+def _merge_ranks(merges: list[MergePair]) -> dict[MergePair, list[int]]:
+    """Map each pair of ``merges`` to its ranks, ascending; reused while the list is unchanged."""
+    global _merge_ranks_memo
+    memo = _merge_ranks_memo
+    if merges == memo[0]:  # an unchanged list compares its entries by identity
+        return memo[1]
+    ranks: dict[MergePair, list[int]] = {}
+    for rank, pair in enumerate(merges):
+        ranks.setdefault(pair, []).append(rank)
+    _merge_ranks_memo = (list(merges), ranks)
+    return ranks
 
 
 def bpe_segment(word: str, merges: Sequence[MergePair]) -> list[str]:
@@ -335,13 +396,29 @@ def bpe_segment(word: str, merges: Sequence[MergePair]) -> list[str]:
     Each rule is applied leftmost-first across the symbol sequence before
     the next rule is considered.  Characters never seen in training simply
     stay single-character subwords.
+
+    Rules whose pair is absent are no-ops, so instead of walking the whole
+    list this jumps from the last applied rank straight to the smallest
+    higher rank among the pairs present in the word.  That keeps list-order
+    semantics exactly, duplicate rules included: a rule is never revisited
+    once a later one has applied, so ``abc`` under ``[(a, bc), (b, c)]``
+    stays ``a bc``, where merging by best rank would give ``abc``.
     """
     _check_token(word, "word")
+    rules = merges if isinstance(merges, list) else list(merges)
+    ranks = _merge_ranks(rules)
     symbols = tuple(word)
-    for pair in merges:
-        if len(symbols) < 2:
+    last = -1
+    while len(symbols) > 1:
+        next_rank = len(rules)
+        for pair in zip(symbols, symbols[1:]):
+            pair_ranks = ranks.get(pair)
+            if pair_ranks is not None and pair_ranks[-1] > last:
+                next_rank = min(next_rank, pair_ranks[bisect.bisect_right(pair_ranks, last)])
+        if next_rank == len(rules):
             break
-        symbols = _apply_merge(symbols, pair)
+        symbols = _apply_merge(symbols, rules[next_rank])
+        last = next_rank
     return list(symbols)
 
 
@@ -355,7 +432,12 @@ def load_merges(path: str | Path) -> list[MergePair]:
     merges: list[MergePair] = []
     for lineno, line in enumerate(read_corpus(path), 1):
         fields = line.split(" ")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
+        if len(fields) != 2:
             raise ParseError(f"expected 'left<SPACE>right', got {line!r}", lineno)
+        try:
+            for field in fields:
+                _check_token(field, "merge symbol")
+        except ValidationError as exc:
+            raise ParseError(str(exc), lineno) from None
         merges.append((fields[0], fields[1]))
     return merges

@@ -502,6 +502,59 @@ def test_validation_errors_exit_3(pipeline, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_impossible_embedding_header_exits_3(pipeline, tmp_path, capsys):
+    for header in ("-1 2", "100000000000 300"):
+        bad = tmp_path / "outmat.txt"
+        bad.write_text(f"{header}\n", encoding="utf-8")
+        code = main(
+            [
+                "subword-embed",
+                "--vocab",
+                str(pipeline["vocab"]),
+                "--counts",
+                str(pipeline["counts"]),
+                "--output-matrix",
+                str(bad),
+                "--lexicon",
+                str(pipeline["lex0"]),
+                "-o",
+                str(tmp_path / "out.txt"),
+            ]
+        )
+        assert code == 3
+        assert "line 1" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_init_bpe_output_is_independent_of_the_hash_seed(pipeline, tmp_path):
+    # Training iterates sets of string pairs, whose order follows the hash seed.
+    outputs = []
+    for seed in ("0", "1"):
+        result = _run_cli(
+            [
+                "init-bpe",
+                str(pipeline["corpus"]),
+                "--vocab",
+                str(pipeline["vocab"]),
+                "--target-size",
+                "200",
+                "--lexicon-out",
+                f"lex{seed}.tsv",
+                "--merges-out",
+                f"merges{seed}.txt",
+            ],
+            b"",
+            tmp_path,
+            PYTHONHASHSEED=seed,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(
+            ((tmp_path / f"merges{seed}.txt").read_bytes(), (tmp_path / f"lex{seed}.tsv").read_bytes())
+        )
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") > 20
+
+
 def test_numerical_errors_exit_4(pipeline, tmp_path, capsys):
     # lambda 0 hits the zero co-occurrence cells of the synthetic corpus
     code = main(

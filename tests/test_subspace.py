@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -99,6 +101,43 @@ def test_load_embeddings_parse_errors(tmp_path):
     path.write_text("1 2\na 1.0\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
         load_embeddings(path)
+
+
+def test_load_embeddings_rejects_impossible_row_counts(tmp_path):
+    path = tmp_path / "emb.txt"
+    # A negative count, and counts or dimensions no file this small can hold:
+    # each is refused at the header, before a row buffer is allocated.
+    for header in ("-1 2", "100000000000 300", "2 100000000000", "3 2"):
+        path.write_text(f"{header}\na 1.0 2.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1") as excinfo:
+            load_embeddings(path)
+        assert excinfo.value.line_number == 1
+
+
+def test_load_embeddings_from_a_pipe_grows_its_buffer(tmp_path):
+    rng = np.random.default_rng(8)
+    table = _random_table(rng, [f"w{i}" for i in range(2500)], 3)
+    source = tmp_path / "emb.txt"
+    save_embeddings(table, source)
+    fifo = tmp_path / "emb.fifo"
+
+    def load_through_fifo(text):
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"})
+        writer.start()
+        try:
+            return load_embeddings(fifo)
+        finally:
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+            fifo.unlink()
+
+    loaded = load_through_fifo(source.read_text(encoding="utf-8"))
+    assert loaded.tokens == table.tokens
+    assert np.array_equal(loaded.vectors, table.vectors)
+    # A pipe's size is unknown up front; an overstated count fails at the end.
+    with pytest.raises(ValidationError, match="declared 100000000000 rows but found 1"):
+        load_through_fifo("100000000000 3\na 1.0 2.0 3.0\n")
 
 
 def test_align_embeddings_reorders_and_reports_missing():

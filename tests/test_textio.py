@@ -2,6 +2,8 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subseg import (
     ArgumentError,
@@ -21,7 +23,11 @@ from subseg import (
     save_merges,
     save_vocabulary,
 )
+from subseg import textio
 from subseg.textio import atomic_text_writer
+
+# Deterministic example sequences that leave no example database behind.
+_ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +291,114 @@ def test_bpe_train_matches_reference_implementation_on_random_corpora():
         assert bpe_train(lines, target) == _reference_bpe(lines, target)
 
 
+@st.composite
+def _run_heavy_corpora(draw):
+    """Lines over 2-3 letters whose words are runs (``aaaa``, ``abab``), each
+    type repeated 1-5 times, with a target from the character count to past
+    the point where no pair is left."""
+    alphabet = draw(st.sampled_from(["ab", "abc", "aab"]))
+    unit = st.one_of(
+        st.builds(lambda ch, n: ch * n, st.sampled_from(alphabet), st.integers(1, 6)),
+        st.builds(lambda pair, n: pair * n, st.sampled_from(["ab", "ba", "ca", "bc"]), st.integers(1, 4)),
+    )
+    words = draw(st.lists(st.builds("".join, st.lists(unit, min_size=1, max_size=3)), min_size=1, max_size=10))
+    repeats = draw(st.lists(st.integers(1, 5), min_size=len(words), max_size=len(words)))
+    tokens = [word for word, repeat in zip(words, repeats) for _ in range(repeat)]
+    tokens = draw(st.permutations(tokens))
+    lines = [" ".join(tokens[i::3]) for i in range(3)]
+    charset = {ch for word in words for ch in word}
+    target = draw(st.integers(len(charset), len(charset) + 40))
+    return lines, target
+
+
+@_ORACLE_SETTINGS
+@given(_run_heavy_corpora())
+def test_bpe_train_matches_reference_on_run_heavy_corpora(corpus):
+    lines, target = corpus
+    assert bpe_train(lines, target) == _reference_bpe(lines, target)
+
+
+def _reference_segment(word, merges):
+    """Apply every rule of ``merges`` in list order, leftmost-first."""
+    symbols = list(word)
+    for left, right in merges:
+        out = []
+        i = 0
+        while i < len(symbols):
+            if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == (left, right):
+                out.append(left + right)
+                i += 2
+            else:
+                out.append(symbols[i])
+                i += 1
+        symbols = out
+    return symbols
+
+
+_SYMBOLS = st.text(alphabet="abc", min_size=1, max_size=3)
+
+
+@_ORACLE_SETTINGS
+@given(
+    trained=_run_heavy_corpora(),
+    extra=st.lists(st.tuples(_SYMBOLS, _SYMBOLS), max_size=8),
+    data=st.data(),
+    words=st.lists(st.text(alphabet="abc", min_size=1, max_size=12), min_size=1, max_size=8),
+)
+def test_bpe_segment_matches_list_order_oracle(trained, extra, data, words):
+    # Learned rules plus duplicates of them and rules whose pair may never occur.
+    merges = bpe_train(*trained) + extra
+    duplicates = data.draw(st.lists(st.sampled_from(merges), max_size=4)) if merges else []
+    merges = data.draw(st.permutations(merges + duplicates))
+    for word in words:
+        assert bpe_segment(word, merges) == _reference_segment(word, merges)
+
+
+def test_bpe_segment_keeps_list_order_over_rank_greedy():
+    # Rule 0 is absent until rule 1 builds "bc"; list order never goes back to it.
+    assert bpe_segment("abc", [("a", "bc"), ("b", "c")]) == ["a", "bc"]
+    assert bpe_segment("abc", [("b", "c"), ("a", "bc")]) == ["abc"]
+    # A rule applies again at the rank of its duplicate, and only rules after
+    # that rank follow: (abc, d) comes before the second (a, bc).
+    assert bpe_segment("abcd", [("a", "bc"), ("b", "c"), ("abc", "d"), ("a", "bc")]) == ["abc", "d"]
+    assert bpe_segment("aaaa", [("a", "a"), ("b", "b"), ("a", "a")]) == ["aa", "aa"]
+    assert bpe_segment("aaaa", [("a", "a"), ("aa", "aa"), ("a", "a")]) == ["aaaa"]
+    # A list changed in place is re-read, not served from the last call's ranks.
+    merges = [("a", "b")]
+    assert bpe_segment("ab", merges) == ["ab"]
+    merges[0] = ("b", "c")
+    assert bpe_segment("ab", merges) == ["a", "b"]
+
+
+def test_bpe_train_retokenizes_only_types_containing_the_merge(monkeypatch):
+    lines = [
+        "stem stems stemming barn barns barning quiz quizzes zoo zoos",
+        "stem stems barn quiz lamp lamps lamping tree trees treeing",
+    ] * 3
+    calls = 0
+    apply_merge = textio._apply_merge
+
+    def counting_apply_merge(symbols, pair):
+        nonlocal calls
+        calls += 1
+        return apply_merge(symbols, pair)
+
+    monkeypatch.setattr(textio, "_apply_merge", counting_apply_merge)
+    merges = bpe_train(lines, target_vocab_size=40)
+    monkeypatch.undo()
+    assert merges == _reference_bpe(lines, 40)
+
+    # Replay the merges, counting the types that hold each merged pair.
+    pieces = [tuple(word) for word in {w for line in lines for w in line.split()}]
+    touched = 0
+    for pair in merges:
+        touched += sum(pair in zip(symbols, symbols[1:]) for symbols in pieces)
+        pieces = [textio._apply_merge(symbols, pair) for symbols in pieces]
+    assert calls <= touched
+    # A full rescan re-tokenizes every type on every merge.
+    assert touched < len(pieces) * len(merges) // 2
+
+
 def test_bpe_closure_over_training_corpus():
     # segmenting training words never emits a subword outside the induced vocab
     lines = ["banana band bandana", "ban dana nab"]
@@ -306,6 +420,8 @@ def test_merges_round_trip(tmp_path):
 
 def test_load_merges_rejects_malformed_row(tmp_path):
     path = tmp_path / "merges.txt"
-    path.write_text("a b\nnospace\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="line 2"):
-        load_merges(path)
+    for bad_row in ("nospace", "a\tb c", "a b\u00a0c", "a ", " b", "a b c"):
+        path.write_text(f"a b\n{bad_row}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 2") as excinfo:
+            load_merges(path)
+        assert excinfo.value.line_number == 2
