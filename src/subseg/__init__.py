@@ -7,128 +7,92 @@ alternating refinement, distillation into a smoothed bigram segmenter with
 beam search, and intrinsic evaluation (boundary P/R/F1, Renyi efficiency).
 """
 
-from subseg.errors import (
-    ArgumentError,
-    CorpusIOError,
-    CoverageError,
-    NumericalError,
-    ParseError,
-    ValidationError,
-)
-from subseg.textio import (
-    SegmentedLexicon,
-    Vocabulary,
-    bpe_segment,
-    bpe_train,
-    build_vocabulary,
-    load_lexicon,
-    load_merges,
-    load_vocabulary,
-    read_corpus,
-    save_lexicon,
-    save_merges,
-    save_vocabulary,
-)
-from subseg.cooccur import (
-    CooccurrenceCounts,
-    count_cooccurrences,
-    load_counts,
-    save_counts,
-)
-from subseg.subspace import (
-    EmbeddingTable,
-    SegmentationMatrix,
-    SubwordVocabulary,
-    align_embeddings,
-    build_segmentation_matrix,
-    compute_subword_embeddings,
-    default_ridge,
-    load_embeddings,
-    right_inverse_solve,
-    save_embeddings,
-    smoothed_log_target,
-)
-from subseg.lexseg import (
-    IterationStats,
-    RefinementState,
-    ScoredSegmentation,
-    cosine,
-    embedding_segment,
-    refine,
-    segment_corpus,
-)
-from subseg.bigram import (
-    START_SYMBOL,
-    BigramModel,
-    beam_segment,
-    distill,
-    exact_segment,
-    iter_word_groups,
-    load_model,
-    save_model,
-)
-from subseg.metrics import (
-    BoundaryReport,
-    RenyiReport,
-    boundary_prf,
-    renyi_efficiency,
-    segmentation_boundaries,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArgumentError",
-    "BigramModel",
-    "BoundaryReport",
-    "CooccurrenceCounts",
-    "CorpusIOError",
-    "CoverageError",
-    "EmbeddingTable",
-    "IterationStats",
-    "NumericalError",
-    "ParseError",
-    "RefinementState",
-    "RenyiReport",
-    "ScoredSegmentation",
-    "SegmentationMatrix",
-    "SegmentedLexicon",
-    "START_SYMBOL",
-    "SubwordVocabulary",
-    "ValidationError",
-    "Vocabulary",
-    "align_embeddings",
-    "beam_segment",
-    "boundary_prf",
-    "bpe_segment",
-    "bpe_train",
-    "build_segmentation_matrix",
-    "build_vocabulary",
-    "compute_subword_embeddings",
-    "cosine",
-    "count_cooccurrences",
-    "default_ridge",
-    "distill",
-    "embedding_segment",
-    "exact_segment",
-    "iter_word_groups",
-    "load_counts",
-    "load_embeddings",
-    "load_lexicon",
-    "load_merges",
-    "load_model",
-    "load_vocabulary",
-    "read_corpus",
-    "refine",
-    "renyi_efficiency",
-    "right_inverse_solve",
-    "save_counts",
-    "save_embeddings",
-    "save_lexicon",
-    "save_merges",
-    "save_model",
-    "save_vocabulary",
-    "segment_corpus",
-    "segmentation_boundaries",
-    "smoothed_log_target",
-]
+# Public names by defining module.  Each module is imported on the first
+# access to one of its names, so a stage that needs no arrays never loads
+# numpy through the package.
+_EXPORTS = {
+    "errors": (
+        "ArgumentError",
+        "CorpusIOError",
+        "CoverageError",
+        "NumericalError",
+        "ParseError",
+        "ValidationError",
+    ),
+    "textio": (
+        "ScoredSegmentation",
+        "SegmentedLexicon",
+        "SubwordVocabulary",
+        "Vocabulary",
+        "bpe_segment",
+        "bpe_train",
+        "build_vocabulary",
+        "load_lexicon",
+        "load_merges",
+        "load_vocabulary",
+        "read_corpus",
+        "save_lexicon",
+        "save_merges",
+        "save_vocabulary",
+    ),
+    "cooccur": (
+        "CooccurrenceCounts",
+        "count_cooccurrences",
+        "load_counts",
+        "save_counts",
+    ),
+    "subspace": (
+        "EmbeddingTable",
+        "SegmentationMatrix",
+        "align_embeddings",
+        "build_segmentation_matrix",
+        "compute_subword_embeddings",
+        "default_ridge",
+        "load_embeddings",
+        "right_inverse_solve",
+        "save_embeddings",
+        "smoothed_log_target",
+    ),
+    "lexseg": (
+        "IterationStats",
+        "RefinementState",
+        "cosine",
+        "embedding_segment",
+        "refine",
+        # This one also accepts a RefinementState.
+        "segment_corpus",
+    ),
+    "bigram": (
+        "START_SYMBOL",
+        "BigramModel",
+        "beam_segment",
+        "distill",
+        "exact_segment",
+        "iter_word_groups",
+        "load_model",
+        "save_model",
+    ),
+    "metrics": (
+        "BoundaryReport",
+        "RenyiReport",
+        "boundary_prf",
+        "renyi_efficiency",
+        "segmentation_boundaries",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -29,9 +29,14 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 
 from subseg.errors import ArgumentError, ParseError, ValidationError
-from subseg.lexseg import ScoredSegmentation, _candidate_order
-from subseg.subspace import SubwordVocabulary
-from subseg.textio import _check_token, atomic_text_writer, read_corpus
+from subseg.textio import (
+    ScoredSegmentation,
+    SubwordVocabulary,
+    _candidate_order,
+    _check_token,
+    atomic_text_writer,
+    read_corpus,
+)
 
 START_SYMBOL = "###"
 
@@ -165,8 +170,10 @@ def iter_word_groups(
 
     Without a separator each nonblank line is one word (its subwords
     space-separated).  With one, each line holds several words delimited
-    by the separator token.
+    by the separator token, which must itself be a valid token.
     """
+    if separator is not None:
+        _check_token(separator, "separator", ArgumentError)
     for line in lines:
         tokens = line.split()
         if separator is None:
@@ -191,14 +198,20 @@ def distill(groups: Iterable[Sequence[str]]) -> BigramModel:
     Each group is one word occurrence as a subword sequence.  The inventory
     S is the set of observed subwords plus every character observed inside
     them; characters that never occur as whole tokens enter with count 0.
+
+    Identical groups are counted once, weighted by how often they occur,
+    which gives the same integer counts as counting every occurrence.
+    Distinct groups are checked in order of first occurrence, so an invalid
+    corpus raises the error of its first invalid group.
     """
+    occurrences = Counter(map(tuple, groups))
+    if not occurrences:
+        raise ArgumentError("cannot distill from an empty corpus")
     unigrams: Counter = Counter()
     bigrams: Counter = Counter()
-    seen_any = False
-    for group in groups:
+    for group, weight in occurrences.items():
         if not group:
             raise ValidationError("empty word group in segmented corpus")
-        seen_any = True
         prev = START_SYMBOL
         for token in group:
             _check_token(token, "subword in segmented corpus")
@@ -206,11 +219,9 @@ def distill(groups: Iterable[Sequence[str]]) -> BigramModel:
                 raise ValidationError(
                     f"start symbol {START_SYMBOL!r} may not occur in a segmented corpus"
                 )
-            bigrams[(prev, token)] += 1
-            unigrams[token] += 1
+            bigrams[(prev, token)] += weight
+            unigrams[token] += weight
             prev = token
-    if not seen_any:
-        raise ArgumentError("cannot distill from an empty corpus")
     for token in list(unigrams):
         for ch in token:
             if ch not in unigrams:

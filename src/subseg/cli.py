@@ -21,10 +21,15 @@ import sys
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
-from subseg import bigram, cooccur, lexseg, metrics, subspace, textio
+# Only textio is imported here; each command imports the other modules it
+# uses, so a stage that needs no arrays starts without loading numpy.
+from subseg import textio
 from subseg.errors import ArgumentError, NumericalError, ValidationError
+
+if TYPE_CHECKING:
+    from subseg import cooccur, lexseg, subspace
 
 # Distinct word types whose segmentation ``segment`` keeps in memory.
 _SEGMENT_MEMO_SIZE = 1 << 16
@@ -86,6 +91,8 @@ def _cmd_vocab(args: argparse.Namespace) -> int:
 
 
 def _cmd_cooc(args: argparse.Namespace) -> int:
+    from subseg import cooccur
+
     vocab = textio.load_vocabulary(args.vocab)
     counts = cooccur.count_cooccurrences(_input_lines(args.corpus), vocab, window=args.window)
     cooccur.save_counts(counts, args.output)
@@ -105,6 +112,8 @@ def _cmd_init_bpe(args: argparse.Namespace) -> int:
 
 
 def _load_aligned(path: str, vocab: textio.Vocabulary) -> subspace.EmbeddingTable:
+    from subseg import subspace
+
     return subspace.align_embeddings(subspace.load_embeddings(path), vocab.tokens)
 
 
@@ -116,6 +125,8 @@ def _check_counts(counts: cooccur.CooccurrenceCounts, vocab: textio.Vocabulary) 
 
 
 def _cmd_subword_embed(args: argparse.Namespace) -> int:
+    from subseg import cooccur, subspace
+
     vocab = textio.load_vocabulary(args.vocab)
     counts = cooccur.load_counts(args.counts)
     _check_counts(counts, vocab)
@@ -140,6 +151,8 @@ def _cmd_subword_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
+    from subseg import cooccur, lexseg, subspace
+
     vocab = textio.load_vocabulary(args.vocab)
     counts = cooccur.load_counts(args.counts)
     _check_counts(counts, vocab)
@@ -172,15 +185,15 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 def _cmd_segment_embed(args: argparse.Namespace) -> int:
     lexicon = textio.load_lexicon(args.lexicon)
-    rows = lexseg.segment_corpus(
-        _input_lines(args.corpus), lexicon, oov_policy=args.oov_policy
-    )
+    rows = textio.segment_corpus(_input_lines(args.corpus), lexicon, oov_policy=args.oov_policy)
     with _output_stream(args.output) as handle:
         _write_segmented(rows, handle, args.word_per_line)
     return 0
 
 
 def _cmd_distill(args: argparse.Namespace) -> int:
+    from subseg import bigram
+
     groups = bigram.iter_word_groups(_input_lines(args.corpus), separator=args.separator)
     model = bigram.distill(groups)
     bigram.save_model(model, args.output)
@@ -188,6 +201,8 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
+    from subseg import bigram
+
     model = bigram.load_model(args.model)
 
     # Both searches are deterministic per (word, model), so memoizing each
@@ -208,6 +223,8 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_boundaries(args: argparse.Namespace) -> int:
+    from subseg import metrics
+
     predicted = textio.load_lexicon(args.pred)
     gold = textio.load_lexicon(args.gold)
     report = metrics.boundary_prf(predicted, gold)
@@ -223,6 +240,8 @@ def _cmd_eval_boundaries(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_renyi(args: argparse.Namespace) -> int:
+    from subseg import metrics
+
     frequencies: Counter = Counter()
     for line in _input_lines(args.tokens):
         frequencies.update(line.split())
@@ -308,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument(
         "--oov-policy",
-        choices=lexseg.OOV_POLICIES,
+        choices=textio.OOV_POLICIES,
         default="whole",
         help="how to treat words missing from the lexicon",
     )

@@ -24,23 +24,24 @@ import numpy as np
 
 from subseg.errors import ArgumentError, CoverageError, ValidationError
 from subseg.cooccur import CooccurrenceCounts
+from subseg import textio
 from subseg.subspace import (
     EmbeddingTable,
     SegmentationMatrix,
-    SubwordVocabulary,
     build_segmentation_matrix,
     compute_subword_embeddings,
     default_ridge,
 )
-from subseg.textio import SegmentedLexicon, _check_token
-
-OOV_POLICIES = ("error", "whole", "char")
-
-
-@dataclass(frozen=True)
-class ScoredSegmentation:
-    subwords: tuple[str, ...]
-    score: float
+# Defined in textio, which imports no numpy; OOV_POLICIES is re-exported for
+# callers of segment_corpus.
+from subseg.textio import (
+    OOV_POLICIES,
+    ScoredSegmentation,
+    SegmentedLexicon,
+    SubwordVocabulary,
+    _candidate_order,
+    _check_token,
+)
 
 
 @dataclass(frozen=True)
@@ -222,12 +223,6 @@ def _best_segmentation(word: str, sims: Mapping[str, float], alpha: float) -> Sc
     return ScoredSegmentation(final[2], final[0])
 
 
-def _candidate_order(hyp: tuple[float, int, tuple[str, ...]]) -> tuple[float, int, tuple[str, ...]]:
-    # Highest score first, then fewer subwords, then lexicographic sequence;
-    # shared with the bigram beam and exact searches.
-    return (-hyp[0], hyp[1], hyp[2])
-
-
 def refine(
     lexicon0: SegmentedLexicon,
     word_embeddings: EmbeddingTable,
@@ -316,33 +311,7 @@ def segment_corpus(
     segmentations: RefinementState | SegmentedLexicon | Mapping[str, Sequence[str]],
     oov_policy: str = "error",
 ) -> Iterator[list[tuple[str, ...]]]:
-    """Map each corpus word through a per-type segmentation lookup.
-
-    Yields, per input line, the list of word segmentations in order.
-    Out-of-lexicon words follow ``oov_policy``: ``error`` raises naming the
-    word and line, ``whole`` passes the word through unsplit, ``char``
-    splits it into characters.
-    """
-    if oov_policy not in OOV_POLICIES:
-        raise ArgumentError(
-            f"oov_policy must be one of {', '.join(OOV_POLICIES)}, got {oov_policy!r}"
-        )
-    table: Mapping[str, Sequence[str]] | SegmentedLexicon
+    """:func:`subseg.textio.segment_corpus` that also accepts a refinement result."""
     if isinstance(segmentations, RefinementState):
-        table = segmentations.lexicon
-    else:
-        table = segmentations
-    for lineno, line in enumerate(lines, 1):
-        row: list[tuple[str, ...]] = []
-        for word in line.split():
-            if word in table:
-                row.append(tuple(table[word]))
-            elif oov_policy == "whole":
-                row.append((word,))
-            elif oov_policy == "char":
-                row.append(tuple(word))
-            else:
-                raise ValidationError(
-                    f"line {lineno}: word {word!r} is not in the segmentation lexicon"
-                )
-        yield row
+        segmentations = segmentations.lexicon
+    return textio.segment_corpus(lines, segmentations, oov_policy)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from subseg.errors import ArgumentError, ValidationError
+from subseg.textio import _preview
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,9 @@ def boundary_prf(
         only_gold = sorted(gold_words - predicted_words)
         only_predicted = sorted(predicted_words - gold_words)
         if only_gold:
-            messages.append(f"missing from predicted: {', '.join(repr(w) for w in only_gold)}")
+            messages.append(f"missing from predicted: {_preview(only_gold)}")
         if only_predicted:
-            messages.append(f"missing from gold: {', '.join(repr(w) for w in only_predicted)}")
+            messages.append(f"missing from gold: {_preview(only_predicted)}")
         raise ValidationError("word sets differ; " + "; ".join(messages))
     true_positives = 0
     predicted_total = 0

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import stat
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,7 +43,15 @@ import numpy as np
 
 from subseg.errors import ArgumentError, NumericalError, ParseError, ValidationError
 from subseg.cooccur import CooccurrenceCounts
-from subseg.textio import SegmentedLexicon, _check_token, atomic_text_writer, read_corpus
+# SubwordVocabulary is re-exported: it lives in textio, which imports no numpy.
+from subseg.textio import (
+    SegmentedLexicon,
+    SubwordVocabulary,
+    _check_token,
+    _preview,
+    atomic_text_writer,
+    read_corpus,
+)
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -185,52 +193,9 @@ def align_embeddings(table: EmbeddingTable, tokens: Sequence[str]) -> EmbeddingT
     """Reorder rows to follow ``tokens``; every requested token must exist."""
     missing = [token for token in tokens if token not in table]
     if missing:
-        shown = ", ".join(repr(t) for t in missing[:10])
-        more = "" if len(missing) <= 10 else f" (+{len(missing) - 10} more)"
-        raise ValidationError(f"embedding table is missing tokens: {shown}{more}")
+        raise ValidationError(f"embedding table is missing tokens: {_preview(missing)}")
     order = [table.token_id(token) for token in tokens]
     return EmbeddingTable(tokens, table.vectors[order])
-
-
-class SubwordVocabulary:
-    """Ordered subword-to-id table with dense contiguous ids."""
-
-    __slots__ = ("_tokens", "_index")
-
-    def __init__(self, tokens: Sequence[str]):
-        tokens = tuple(tokens)
-        index: dict[str, int] = {}
-        for position, token in enumerate(tokens):
-            _check_token(token, "subword")
-            if token in index:
-                raise ValidationError(f"duplicate subword {token!r}")
-            index[token] = position
-        self._tokens = tokens
-        self._index = index
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return self._tokens
-
-    def token_id(self, token: str) -> int:
-        return self._index[token]
-
-    def __contains__(self, token: object) -> bool:
-        return token in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tokens)
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubwordVocabulary):
-            return NotImplemented
-        return self._tokens == other._tokens
-
-    def __repr__(self) -> str:
-        return f"SubwordVocabulary({len(self)} subwords)"
 
 
 class SegmentationMatrix:

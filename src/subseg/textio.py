@@ -9,6 +9,9 @@ File formats handled here:
 
 Tokens are plain strings: nonempty, free of whitespace.  Nothing in the
 package lowercases or otherwise normalizes text.
+
+This module and the ones that only need it (``bigram``) import no numpy, so
+the stages built on them start without loading it.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ import tempfile
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
 from subseg.errors import ArgumentError, CorpusIOError, ParseError, ValidationError
 
 MergePair = tuple[str, str]
+
+OOV_POLICIES = ("error", "whole", "char")
 
 
 def _check_token(
@@ -35,20 +41,37 @@ def _check_token(
     """Return ``token`` if it is nonempty and free of whitespace, else raise ``error``."""
     if not token:
         raise error(f"empty {what}")
-    if any(ch.isspace() for ch in token):
+    # str.split() splits on exactly the characters str.isspace() accepts.
+    if token.split() != [token]:
         raise error(f"{what} {token!r} contains whitespace")
     return token
 
 
+def _preview(items: Sequence[str], limit: int = 10) -> str:
+    """The first ``limit`` items as reprs, then how many more there are."""
+    shown = ", ".join(repr(item) for item in items[:limit])
+    return shown if len(items) <= limit else f"{shown} (+{len(items) - limit} more)"
+
+
 @contextmanager
 def atomic_text_writer(path: str | Path) -> Iterator[IO[str]]:
-    """Write a text file atomically: emit to a temp file, then rename."""
+    """Write a text file atomically: emit to a temp file, then rename.
+
+    An error in creating or renaming the temp file names ``path``, the
+    file the caller asked for.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         try:
             os.unlink(tmp)
@@ -274,6 +297,91 @@ def load_lexicon(path: str | Path) -> SegmentedLexicon:
         seen.add(word)
         entries.append((word, seg_text.split()))
     return SegmentedLexicon(entries)
+
+
+class SubwordVocabulary:
+    """Ordered subword-to-id table with dense contiguous ids."""
+
+    __slots__ = ("_tokens", "_index")
+
+    def __init__(self, tokens: Sequence[str]):
+        tokens = tuple(tokens)
+        index: dict[str, int] = {}
+        for position, token in enumerate(tokens):
+            _check_token(token, "subword")
+            if token in index:
+                raise ValidationError(f"duplicate subword {token!r}")
+            index[token] = position
+        self._tokens = tokens
+        self._index = index
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return self._tokens
+
+    def token_id(self, token: str) -> int:
+        return self._index[token]
+
+    def __contains__(self, token: object) -> bool:
+        return token in self._index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._tokens)
+
+    def __len__(self) -> int:
+        return len(self._tokens)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubwordVocabulary):
+            return NotImplemented
+        return self._tokens == other._tokens
+
+    def __repr__(self) -> str:
+        return f"SubwordVocabulary({len(self)} subwords)"
+
+
+@dataclass(frozen=True)
+class ScoredSegmentation:
+    subwords: tuple[str, ...]
+    score: float
+
+
+def _candidate_order(hyp: tuple[float, int, tuple[str, ...]]) -> tuple[float, int, tuple[str, ...]]:
+    # Highest score first, then fewer subwords, then lexicographic sequence;
+    # shared with the bigram beam and exact searches.
+    return (-hyp[0], hyp[1], hyp[2])
+
+
+def segment_corpus(
+    lines: Iterable[str],
+    segmentations: SegmentedLexicon | Mapping[str, Sequence[str]],
+    oov_policy: str = "error",
+) -> Iterator[list[tuple[str, ...]]]:
+    """Map each corpus word through a per-type segmentation lookup.
+
+    Yields, per input line, the list of word segmentations in order.
+    Out-of-lexicon words follow ``oov_policy``: ``error`` raises naming the
+    word and line, ``whole`` passes the word through unsplit, ``char``
+    splits it into characters.
+    """
+    if oov_policy not in OOV_POLICIES:
+        raise ArgumentError(
+            f"oov_policy must be one of {', '.join(OOV_POLICIES)}, got {oov_policy!r}"
+        )
+    for lineno, line in enumerate(lines, 1):
+        row: list[tuple[str, ...]] = []
+        for word in line.split():
+            if word in segmentations:
+                row.append(tuple(segmentations[word]))
+            elif oov_policy == "whole":
+                row.append((word,))
+            elif oov_policy == "char":
+                row.append(tuple(word))
+            else:
+                raise ValidationError(
+                    f"line {lineno}: word {word!r} is not in the segmentation lexicon"
+                )
+        yield row
 
 
 def _apply_merge(symbols: tuple[str, ...], pair: MergePair) -> tuple[str, ...]:

@@ -1,7 +1,12 @@
 import math
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subseg import (
     ArgumentError,
@@ -16,6 +21,7 @@ from subseg import (
     load_model,
     save_model,
 )
+from subseg.textio import _check_token
 
 
 def _brute_force(word, model):
@@ -105,6 +111,65 @@ def test_distill_argument_and_validation_errors():
         distill([[]])
     with pytest.raises(ValidationError, match="###"):
         distill([["###", "a"]])
+    # The first invalid group in corpus order decides the error.
+    with pytest.raises(ValidationError, match="'c d' contains whitespace"):
+        distill([["a"], ["b"], ["a"], ["c d"], [], ["c d"]])
+
+
+def _distill_per_occurrence(groups):
+    """Count every occurrence of every group: the reference for ``distill``."""
+    unigrams: Counter = Counter()
+    bigrams: Counter = Counter()
+    seen_any = False
+    for group in groups:
+        if not group:
+            raise ValidationError("empty word group in segmented corpus")
+        seen_any = True
+        prev = START_SYMBOL
+        for token in group:
+            _check_token(token, "subword in segmented corpus")
+            if token == START_SYMBOL:
+                raise ValidationError(
+                    f"start symbol {START_SYMBOL!r} may not occur in a segmented corpus"
+                )
+            bigrams[(prev, token)] += 1
+            unigrams[token] += 1
+            prev = token
+    if not seen_any:
+        raise ArgumentError("cannot distill from an empty corpus")
+    for token in list(unigrams):
+        for ch in token:
+            if ch not in unigrams:
+                unigrams[ch] = 0
+    return BigramModel(dict(unigrams), dict(bigrams))
+
+
+def _model_file_or_error(build, groups):
+    try:
+        model = build(groups)
+    except (ArgumentError, ValidationError) as exc:
+        return type(exc), str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "model.txt")
+        return (Path(tmp) / "model.txt").read_bytes()
+
+
+_GOOD_GROUPS = st.lists(st.text(alphabet="abc", min_size=1, max_size=3), min_size=1, max_size=4)
+_BAD_GROUPS = st.sampled_from([[], ["a", ""], [START_SYMBOL], ["ab", "c d"], ["a\u2028b"]])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    pool=st.lists(_GOOD_GROUPS, min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), max_size=40),
+    bad=st.lists(st.tuples(st.integers(0, 40), _BAD_GROUPS), max_size=2),
+)
+def test_distill_matches_per_occurrence_counting(pool, picks, bad):
+    groups = [list(pool[i % len(pool)]) for i in picks]
+    for position, group in bad:
+        groups.insert(min(position, len(groups)), group)
+    expected = _model_file_or_error(_distill_per_occurrence, groups)
+    assert _model_file_or_error(distill, iter(groups)) == expected
 
 
 def test_iter_word_groups_line_and_separator_forms():

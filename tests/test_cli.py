@@ -1,3 +1,4 @@
+import inspect
 import io
 import math
 import os
@@ -460,6 +461,56 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert load_vocabulary(tmp_path / "v.tsv").freq("a") == 2
 
 
+def test_cold_start_loads_no_numpy(tmp_path):
+    script = (
+        "import subseg, subseg.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.')))"
+    )
+    imported = _run_python(["-c", script], b"", tmp_path)
+    assert imported.returncode == 0, imported.stderr
+    assert imported.stdout.strip() == b"[]"
+
+
+def test_stages_without_arrays_never_load_numpy(tmp_path):
+    (tmp_path / "corpus.txt").write_text("undoing redoing undo\nredo doing\n", encoding="utf-8")
+    script = """
+import sys
+from subseg.cli import main
+for argv in [
+    ["vocab", "corpus.txt", "-o", "vocab.tsv"],
+    ["init-bpe", "corpus.txt", "--vocab", "vocab.tsv", "--target-size", "12", "--lexicon-out", "bpe.lex"],
+    ["segment-embed", "corpus.txt", "--lexicon", "bpe.lex", "--word-per-line", "-o", "train.seg"],
+    ["distill", "train.seg", "-o", "model.txt"],
+    ["segment", "corpus.txt", "--model", "model.txt", "-o", "out.seg"],
+]:
+    print(argv[0], main(argv), "numpy" in sys.modules)
+"""
+    ran = _run_python(["-c", script], b"", tmp_path)
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.decode().splitlines() == [
+        f"{stage} 0 False" for stage in ("vocab", "init-bpe", "segment-embed", "distill", "segment")
+    ]
+    assert (tmp_path / "out.seg").read_text(encoding="utf-8").replace(" ", "") == "undoingredoingundo\nredodoing\n"
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    import subseg
+    from subseg import bigram, lexseg, subspace, textio
+
+    for name in subseg.__all__:
+        value = getattr(subseg, name)
+        home = bigram if name == "START_SYMBOL" else sys.modules[value.__module__]
+        assert inspect.ismodule(home) and home.__name__.startswith("subseg.")
+        assert value is getattr(home, name), name
+    # Moved names stay importable from their old modules as the same objects.
+    assert subspace.SubwordVocabulary is textio.SubwordVocabulary
+    for name in ("OOV_POLICIES", "ScoredSegmentation", "SubwordVocabulary", "_candidate_order"):
+        assert getattr(lexseg, name) is getattr(textio, name)
+    assert subseg.segment_corpus is lexseg.segment_corpus
+    with pytest.raises(AttributeError, match="no_such_name"):
+        subseg.no_such_name
+
+
 def test_usage_errors_exit_2(pipeline, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["segment"])  # missing required --model
@@ -483,6 +534,16 @@ def test_usage_errors_exit_2(pipeline, tmp_path, capsys):
     )
     assert code == 2
     assert "ridge" in capsys.readouterr().err
+
+
+def test_distill_rejects_a_separator_no_token_can_equal(tmp_path, capsys):
+    segmented = tmp_path / "train.seg"
+    segmented.write_text("ab c | d\n", encoding="utf-8")
+    for separator, problem in (("", "empty separator"), ("a b", "separator 'a b' contains whitespace")):
+        code = main(["distill", str(segmented), "--separator", separator, "-o", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert problem in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
 
 
 def test_validation_errors_exit_3(pipeline, tmp_path, capsys):
@@ -582,6 +643,12 @@ def test_io_errors_exit_5(tmp_path, capsys):
     code = main(["vocab", str(tmp_path / "missing.txt"), "-o", str(tmp_path / "v.tsv")])
     assert code == 5
     assert "error:" in capsys.readouterr().err
+    (tmp_path / "corpus.txt").write_text("a b\n", encoding="utf-8")
+    unwritable = tmp_path / "missing" / "v.tsv"
+    code = main(["vocab", str(tmp_path / "corpus.txt"), "-o", str(unwritable)])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {str(unwritable)!r}\n"
 
 
 def test_rerunning_a_stage_is_byte_identical(pipeline, tmp_path):

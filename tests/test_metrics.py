@@ -110,6 +110,19 @@ def test_key_mismatch_lists_missing_words():
         boundary_prf(pred, gold)
 
 
+def test_key_mismatch_names_at_most_ten_words_per_side():
+    words = [f"w{i:04d}" for i in range(7288)]
+    pred = SegmentedLexicon({word: [word] for word in words})
+    gold = SegmentedLexicon({"cat": ["cat"]})
+    with pytest.raises(ValidationError) as excinfo:
+        boundary_prf(pred, gold)
+    message = str(excinfo.value)
+    assert message.count("'w") == 10
+    assert "'w0009' (+7278 more)" in message
+    assert "missing from predicted: 'cat'; " in message
+    assert len(message) < 200
+
+
 def test_matches_oracle_on_random_pairs():
     rng = random.Random(2024)
     words = ["".join(rng.choice("abcd") for _ in range(rng.randint(1, 9))) for _ in range(30)]

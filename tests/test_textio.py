@@ -73,6 +73,66 @@ def test_atomic_writer_replaces_existing_content(tmp_path):
     assert path.read_text(encoding="utf-8") == "new\n"
 
 
+def test_atomic_writer_errors_name_the_requested_path(tmp_path):
+    # The temp file cannot be created, then cannot replace a directory.
+    missing_dir = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as excinfo:
+        with atomic_text_writer(missing_dir):
+            pass
+    assert excinfo.value.filename == str(missing_dir)
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IsADirectoryError) as excinfo:
+        with atomic_text_writer(tmp_path / "taken") as handle:
+            handle.write("x")
+    assert excinfo.value.filename == str(tmp_path / "taken")
+    assert ".tmp" not in str(excinfo.value)
+    assert [path.name for path in tmp_path.iterdir()] == ["taken"]
+
+
+# ---------------------------------------------------------------------------
+# token validity
+
+
+def _check_token_by_character(token, what="token", error=ValidationError):
+    """The per-character definition ``textio._check_token`` must keep."""
+    if not token:
+        raise error(f"empty {what}")
+    if any(ch.isspace() for ch in token):
+        raise error(f"{what} {token!r} contains whitespace")
+    return token
+
+
+def _outcome(check, token):
+    try:
+        return check(token, "subword", ArgumentError)
+    except ArgumentError as exc:
+        return type(exc), str(exc)
+
+
+_WHITESPACE = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+
+
+def test_check_token_matches_per_character_oracle_on_every_whitespace_code_point():
+    cases = [""]
+    for ws in _WHITESPACE:
+        cases += [ws, f"a{ws}b", f"{ws}ab", f"ab{ws}", ws * 2]
+    for token in cases:
+        assert _outcome(textio._check_token, token) == _outcome(_check_token_by_character, token)
+    rejected = []
+    for cp in range(0x110000):
+        try:
+            textio._check_token(chr(cp))
+        except ValidationError:
+            rejected.append(chr(cp))
+    assert rejected == _WHITESPACE
+
+
+@_ORACLE_SETTINGS
+@given(st.text(alphabet=st.one_of(st.sampled_from(_WHITESPACE), st.characters()), max_size=6))
+def test_check_token_matches_per_character_oracle_on_random_text(token):
+    assert _outcome(textio._check_token, token) == _outcome(_check_token_by_character, token)
+
+
 # ---------------------------------------------------------------------------
 # Vocabulary
 
