@@ -4,20 +4,27 @@ A word is split by dynamic programming over its prefix positions: each
 candidate subword contributes the cosine between the word's vector and the
 subword's vector, minus a constant penalty ``alpha`` per subword.  Ties are
 broken toward fewer subwords, then toward the lexicographically smallest
-subword sequence, so segmentation is fully deterministic.
+subword sequence, so segmentation is fully deterministic.  The DP runs on
+all words of one length at once, sweeping end positions with numpy; a lone
+word (:func:`embedding_segment`) is a batch of one.
 
 Refinement alternates two steps over a whole lexicon: solve subword
 vectors for the current segmentations, then re-segment every word with
 those vectors, pruning subwords that fall out of use.  The subword
 inventory can only shrink, and the loop stops at the first pass that
-changes no word.  Each pass scores every (word, in-table substring) pair in
-one gathered numpy pass whose values equal :func:`cosine` bit for bit, so
-refinement segments exactly as per-word :func:`embedding_segment` calls would.
+changes no word.  It is incremental and exact: each solved row depends
+only on its own incidence row, so a pass solves only the rows whose word
+set changed, re-scores only the (word, substring) pairs of those rows, and
+moves the ids of changed words between the incidence rows in place.  The
+scores equal :func:`cosine` bit for bit, so refinement segments exactly as
+a full re-solve followed by per-word :func:`embedding_segment` calls would.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+import math
+from array import array
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +40,7 @@ from subseg.subspace import (
     default_ridge,
 )
 # Defined in textio, which imports no numpy; OOV_POLICIES is re-exported for
-# callers of segment_corpus.
+# callers of segment_corpus, _candidate_order for the DP's tie order.
 from subseg.textio import (
     OOV_POLICIES,
     ScoredSegmentation,
@@ -101,59 +108,199 @@ def _pair_cosines(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-class _WordSubstrings:
-    """Every (word, distinct substring of that word) pair of a word list.
+def _check_alpha(alpha: float) -> None:
+    # A NaN penalty makes every score comparison false, and an infinite one
+    # makes every score equal, so neither ranks anything.
+    if not math.isfinite(alpha):
+        raise ArgumentError(f"alpha must be finite, got {alpha!r}")
 
-    Built once; :meth:`similarities` then scores all pairs whose substring
-    is in a subword table with one gathered pass.
+
+class _WordSubstrings:
+    """The substrings of a fixed word list, scored against changing subword vectors.
+
+    A pair is one word and one distinct substring (a piece) of it.  Words
+    are grouped by length n, and each group keeps a (k, n, n + 1) int32
+    table from span (start, end) of each of its k words to that span's pair;
+    cells with end <= start hold -1, which indexes the padding entry kept
+    at the end of the pair arrays and is never present.  Pair cosines
+    persist between :meth:`score` calls, so a call only recomputes the pairs
+    of the pieces it is given.
     """
 
-    def __init__(self, words: Sequence[str]):
-        self.pieces = [
-            sorted({w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}) for w in words
-        ]
-        piece_ids: dict[str, int] = {}
-        pair_piece = [
-            piece_ids.setdefault(piece, len(piece_ids))
-            for pieces in self.pieces
-            for piece in pieces
-        ]
-        self.distinct = list(piece_ids)
-        self.pair_piece = np.array(pair_piece, dtype=np.intp)
-        self.pair_word = np.repeat(
-            np.arange(len(self.pieces), dtype=np.intp), [len(p) for p in self.pieces]
+    def __init__(self, words: Sequence[str], word_vectors: np.ndarray):
+        self.words = words
+        self.word_vectors = word_vectors
+        by_length: dict[int, list[int]] = {}
+        for position, word in enumerate(words):
+            by_length.setdefault(len(word), []).append(position)
+        # Pairs are numbered word by word in group order; each word's pairs
+        # follow the first occurrence of their piece in the span order.
+        pair_pieces: list[str] = []
+        pair_counts: list[int] = []
+        ordered: list[int] = []
+        self.groups: list[tuple[np.ndarray, np.ndarray]] = []
+        for n, positions in sorted(by_length.items()):
+            spans = [(start, end) for start in range(n) for end in range(start + 1, n + 1)]
+            pairs = array("i")
+            for position in positions:
+                word = words[position]
+                pieces = [word[start:end] for start, end in spans]
+                distinct = dict.fromkeys(pieces)
+                pair_ids = dict(zip(distinct, range(len(pair_pieces), len(pair_pieces) + len(distinct))))
+                pairs.extend(map(pair_ids.__getitem__, pieces))
+                pair_pieces.extend(distinct)
+                pair_counts.append(len(distinct))
+            table = np.full((len(positions), n, n + 1), -1, dtype=np.int32)
+            starts, ends = np.array(spans).T
+            table[:, starts, ends] = np.frombuffer(pairs, dtype=np.intc).reshape(len(positions), -1)
+            self.groups.append((np.array(positions, dtype=np.intp), table))
+            ordered.extend(positions)
+        self.piece_ids = {piece: i for i, piece in enumerate(dict.fromkeys(pair_pieces))}
+        self.pair_piece = np.fromiter(
+            map(self.piece_ids.__getitem__, pair_pieces), dtype=np.int32, count=len(pair_pieces)
         )
+        self.pair_word = np.repeat(np.array(ordered, dtype=np.int32), pair_counts)
+        self.cosines = np.zeros(len(pair_pieces) + 1, dtype=np.float64)
+        self.present = np.zeros(len(pair_pieces) + 1, dtype=bool)
 
-    def similarities(
-        self, word_vectors: np.ndarray, table: EmbeddingTable
-    ) -> Iterator[dict[str, float]]:
-        """Per word, the cosine of ``word_vectors[word]`` to each substring in ``table``.
+    def score(
+        self, vectors: np.ndarray, piece_row: np.ndarray, pieces: Sequence[int] | None = None
+    ) -> None:
+        """Re-score the pairs of ``pieces`` (piece ids; all pieces when None).
 
-        Every value equals :func:`cosine` of the same two vectors bit for bit.
+        ``piece_row`` maps every piece id to its row of ``vectors``, or to -1
+        for a piece without a vector; a pair is present when its piece has a
+        row.  Every score equals :func:`cosine` of the two vectors bit for bit.
         """
-        row_of_piece = [table.token_id(p) if p in table else -1 for p in self.distinct]
-        rows = np.array(row_of_piece, dtype=np.intp)[self.pair_piece]
-        present = rows >= 0
-        pair_word, pair_row = self.pair_word[present], rows[present]
-        values = np.zeros(rows.size, dtype=np.float64)
-        scored = np.empty(pair_row.size, dtype=np.float64)
-        for lo in range(0, scored.size, _PAIR_BLOCK):
-            hi = lo + _PAIR_BLOCK
-            scored[lo:hi] = _pair_cosines(
-                word_vectors[pair_word[lo:hi]], table.vectors[pair_row[lo:hi]]
+        rows = piece_row[self.pair_piece]
+        present = self.present[:-1]
+        np.greater_equal(rows, 0, out=present)
+        if pieces is None:
+            todo = np.flatnonzero(present)
+        else:
+            wanted = np.zeros(piece_row.size, dtype=bool)
+            wanted[list(pieces)] = True
+            todo = np.flatnonzero(present & wanted[self.pair_piece])
+        for lo in range(0, todo.size, _PAIR_BLOCK):
+            block = todo[lo : lo + _PAIR_BLOCK]
+            self.cosines[block] = _pair_cosines(
+                self.word_vectors[self.pair_word[block]], vectors[rows[block]]
             )
-        values[present] = scored
-        values_list, present_list = values.tolist(), present.tolist()
-        stop = 0
-        for pieces in self.pieces:
-            start, stop = stop, stop + len(pieces)
-            yield {
-                piece: value
-                for piece, value, keep in zip(
-                    pieces, values_list[start:stop], present_list[start:stop]
-                )
-                if keep
-            }
+
+    def cut_masks(self, segmentations: Sequence[Sequence[str]]) -> list[np.ndarray]:
+        """Per group, a (k, n + 1) mask with True at the end of each piece of each word."""
+        masks = []
+        for positions, spans in self.groups:
+            mask = np.zeros((len(positions), spans.shape[2]), dtype=bool)
+            for row, position in enumerate(positions.tolist()):
+                end = 0
+                for piece in segmentations[position]:
+                    end += len(piece)
+                    mask[row, end] = True
+            masks.append(mask)
+        return masks
+
+    def segment(self, alpha: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The best split of every word, as (word positions, scores, cut masks) per group.
+
+        Cut masks are as in :meth:`cut_masks`.  A word that no split covers
+        raises a coverage error; of several, the first in list order.
+        """
+        results = []
+        uncovered: list[tuple[int, np.ndarray]] = []  # (position, spans) per group
+        for positions, spans in self.groups:
+            scores, back, covered = _best_splits(self.cosines[spans], self.present[spans], alpha)
+            if covered.all():
+                results.append((positions, scores, _cut_masks(back)))
+            else:
+                row = int(np.argmin(covered))
+                uncovered.append((int(positions[row]), spans[row]))
+        if uncovered:
+            position, spans = min(uncovered, key=lambda item: item[0])
+            word = self.words[position]
+            # Unreachable intermediate positions are fine (a longer piece can
+            # span them), but an unreachable end means no path exists, and
+            # that can only happen when some character lacks a vector.
+            missing = next(ch for i, ch in enumerate(word) if not self.present[spans[i, i + 1]])
+            raise CoverageError(
+                f"cannot segment {word!r}: character {missing!r} is missing "
+                "from the subword vocabulary"
+            )
+        return results
+
+
+def _best_splits(
+    sims: np.ndarray, present: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The segmentation DP for k words of one length n, swept over end positions.
+
+    ``sims[:, start, end]`` is the cosine of span (start, end) and
+    ``present`` says which spans have a vector.  A prefix's score is the best
+    prefix score plus (cosine - alpha), the same two operations in the same
+    order as a scalar DP, so scores are bitwise equal to it.  Among equal
+    scores the fewest pieces win, then the smallest piece sequence: for two
+    splits of one prefix, the shorter of the first two pieces that differ is
+    a prefix of the longer, so the smaller sequence is the one whose cut
+    positions are lexicographically smaller.  Returns each word's score, the
+    back pointers (start of the last piece of each prefix's best split) and
+    whether each word is covered.
+    """
+    k, n = sims.shape[:2]
+    scores = np.zeros((k, n + 1), dtype=np.float64)
+    pieces = np.zeros((k, n + 1), dtype=np.int64)
+    reached = np.zeros((k, n + 1), dtype=bool)
+    reached[:, 0] = True
+    back = np.zeros((k, n + 1), dtype=np.intp)
+    rows = np.arange(k)
+    for end in range(1, n + 1):
+        # A huge alpha overflows a sum to -inf silently, as Python floats do.
+        with np.errstate(over="ignore"):
+            candidates = scores[:, :end] + (sims[:, :end, end] - alpha)
+        valid = reached[:, :end] & present[:, :end, end]
+        best = np.where(valid, candidates, -np.inf).max(axis=1)
+        tied = valid & (candidates == best[:, None])
+        fewest = np.where(tied, pieces[:, :end], n + 1).min(axis=1)
+        tied &= pieces[:, :end] == fewest[:, None]
+        start = tied.argmax(axis=1)
+        # Tied splits have equally many pieces, so comparing the cut
+        # positions of their prefixes orders them as the full splits.
+        for row in np.flatnonzero(tied.sum(axis=1) > 1).tolist():
+            start[row] = min(
+                np.flatnonzero(tied[row]).tolist(),
+                key=lambda stop: _prefix_cuts(back[row], stop),
+            )
+        back[:, end] = start
+        scores[:, end] = candidates[rows, start]
+        pieces[:, end] = pieces[rows, start] + 1
+        reached[:, end] = valid.any(axis=1)
+    return scores[:, n], back, reached[:, n]
+
+
+def _prefix_cuts(back: np.ndarray, stop: int) -> list[int]:
+    """Cut positions, in order, of the best split of the prefix ending at ``stop``."""
+    cuts = []
+    while stop > 0:
+        cuts.append(stop)
+        stop = int(back[stop])
+    return cuts[::-1]
+
+
+def _cut_masks(back: np.ndarray) -> np.ndarray:
+    """Follow back pointers from each word's end into a mask of its cut positions."""
+    k, width = back.shape
+    masks = np.zeros((k, width), dtype=bool)
+    rows = np.arange(k)
+    stop = np.full(k, width - 1)
+    while stop.any():
+        masks[rows, stop] = True
+        stop = back[rows, stop]
+    masks[:, 0] = False
+    return masks
+
+
+def _split_at(word: str, mask: np.ndarray) -> tuple[str, ...]:
+    ends = np.flatnonzero(mask).tolist()
+    return tuple(word[start:end] for start, end in zip([0, *ends], ends))
 
 
 def embedding_segment(
@@ -169,9 +316,10 @@ def embedding_segment(
     program walks prefix end positions left to right; among equal scores
     it prefers fewer subwords, then the lexicographically smallest
     sequence.  A position that no in-table subword can reach raises a
-    coverage error naming the missing character.
+    coverage error naming the missing character.  ``alpha`` must be finite.
     """
     _check_token(word, "word", ArgumentError)
+    _check_alpha(alpha)
     word_vector = np.asarray(word_vector, dtype=np.float64)
     if word_vector.shape != (subword_embeddings.dim,):
         raise ArgumentError(
@@ -179,48 +327,14 @@ def embedding_segment(
         )
     if not np.all(np.isfinite(word_vector)):
         raise ValidationError(f"word vector for {word!r} has non-finite components")
-    sims = next(_WordSubstrings([word]).similarities(word_vector[None, :], subword_embeddings))
-    return _best_segmentation(word, sims, alpha)
-
-
-def _best_segmentation(word: str, sims: Mapping[str, float], alpha: float) -> ScoredSegmentation:
-    """The dynamic program of :func:`embedding_segment` over precomputed similarities.
-
-    ``sims`` maps every substring of ``word`` that has a vector to its cosine.
-    """
-    n = len(word)
-    # One hypothesis per prefix length: (score, subword count, sequence).
-    best: list[tuple[float, int, tuple[str, ...]] | None] = [None] * (n + 1)
-    best[0] = (0.0, 0, ())
-    for end in range(1, n + 1):
-        chosen: tuple[float, int, tuple[str, ...]] | None = None
-        for start in range(end):
-            prefix = best[start]
-            if prefix is None:
-                continue
-            piece = word[start:end]
-            similarity = sims.get(piece)
-            if similarity is None:
-                continue
-            candidate = (
-                prefix[0] + (similarity - alpha),
-                prefix[1] + 1,
-                prefix[2] + (piece,),
-            )
-            if chosen is None or _candidate_order(candidate) < _candidate_order(chosen):
-                chosen = candidate
-        best[end] = chosen
-    final = best[n]
-    if final is None:
-        # Unreachable intermediate positions are fine (a longer subword can
-        # span them), but an unreachable end means no path exists, and that
-        # can only happen when some character lacks a vector.
-        missing = next(ch for ch in word if ch not in sims)
-        raise CoverageError(
-            f"cannot segment {word!r}: character {missing!r} is missing "
-            "from the subword vocabulary"
-        )
-    return ScoredSegmentation(final[2], final[0])
+    substrings = _WordSubstrings([word], word_vector[None, :])
+    piece_row = np.array(
+        [subword_embeddings.token_id(p) if p in subword_embeddings else -1 for p in substrings.piece_ids],
+        dtype=np.intp,
+    )
+    substrings.score(subword_embeddings.vectors, piece_row)
+    ((_, scores, masks),) = substrings.segment(alpha)
+    return ScoredSegmentation(_split_at(word, masks[0]), float(scores[0]))
 
 
 def refine(
@@ -238,13 +352,23 @@ def refine(
 
     Word ids follow ``word_embeddings`` row order; the co-occurrence table
     and the output matrix must cover the same words in the same order.
-    Each iteration solves subword vectors for the current incidence,
-    re-segments every lexicon word in sorted order, then rebuilds the
-    incidence from the new segmentations alone so unused subwords drop
-    out.  The subword inventory never grows.  Iteration stops after
-    ``max_iters`` passes or the first pass with zero changed words.
-    ``ridge=None`` resolves the scale-aware default once for the whole run.
+    The first pass solves the incidence of ``lexicon0`` with every single
+    character added; each pass then re-segments every lexicon word in
+    sorted order, and the incidence becomes that of the new segmentations
+    alone, so unused subwords drop out.  The subword inventory never grows.
+    Iteration stops after ``max_iters`` passes or the first pass with zero
+    changed words.  ``ridge=None`` resolves the scale-aware default once
+    for the whole run; ``alpha`` must be finite.
+
+    The result equals solving the whole incidence and re-segmenting each
+    word with :func:`embedding_segment` on every pass, bit for bit, but a
+    pass does less: a solved row depends only on its own incidence row,
+    so only rows whose word set changed are solved again, and only rows
+    that are substrings of some lexicon word are solved at all; only the
+    (word, piece) cosines of re-solved pieces are recomputed; and the
+    incidence is updated in place from the words that changed.
     """
+    _check_alpha(alpha)
     if max_iters < 1:
         raise ArgumentError(f"max_iters must be at least 1, got {max_iters}")
     if len(word_embeddings) != counts.vocab_size or len(output_rows) != counts.vocab_size:
@@ -263,44 +387,86 @@ def refine(
     if ridge is None:
         ridge = default_ridge(output_rows)
     words = sorted(lexicon0.words())
-    substrings = _WordSubstrings(words)
-    word_vectors = word_embeddings.vectors[[word_embeddings.token_id(word) for word in words]]
+    word_ids = [word_embeddings.token_id(word) for word in words]
+    substrings = _WordSubstrings(words, word_embeddings.vectors[word_ids])
     current = {word: lexicon0[word] for word in words}
-    subwords, matrix = build_segmentation_matrix(
+    masks = substrings.cut_masks(list(current.values()))
+    # Word ids per piece.  The first pass solves the augmented incidence of
+    # lexicon0, restricted to the rows the DP can use (substrings of lexicon
+    # words), as sorted tuples; from the rebuild after it on, the rows are
+    # sets updated in place.  Each piece keeps one row of ``vectors``.
+    augmented, matrix0 = build_segmentation_matrix(
         word_embeddings.tokens, lexicon=lexicon0, augment_chars=True
     )
+    members: dict[str, Collection[int]] = {
+        piece: row
+        for piece, row in zip(augmented.tokens, matrix0.rows)
+        if piece in substrings.piece_ids
+    }
+    piece_row = np.full(len(substrings.piece_ids), -1, dtype=np.intp)
+    for row, piece in enumerate(members):
+        piece_row[substrings.piece_ids[piece]] = row
+    vectors = np.empty((len(members), output_rows.dim), dtype=np.float64)
+    dirty = sorted(members)
     history: list[IterationStats] = []
-    solved: EmbeddingTable | None = None
     for iteration in range(1, max_iters + 1):
-        solved = compute_subword_embeddings(
-            subwords, matrix, counts, output_rows, smoothing=smoothing, ridge=ridge
-        )
+        ids = [substrings.piece_ids[piece] for piece in dirty]
+        if dirty:
+            solved = compute_subword_embeddings(
+                SubwordVocabulary(dirty),
+                SegmentationMatrix(counts.vocab_size, [sorted(members[p]) for p in dirty]),
+                counts,
+                output_rows,
+                smoothing=smoothing,
+                ridge=ridge,
+            )
+            vectors[piece_row[ids]] = solved.vectors
+        substrings.score(vectors, piece_row, ids)
         changed = 0
-        resegmented: dict[str, tuple[str, ...]] = {}
-        for word, sims in zip(words, substrings.similarities(word_vectors, solved)):
-            segmentation = _best_segmentation(word, sims, alpha).subwords
-            if segmentation != current[word]:
+        touched: set[str] = set()
+        for group, (positions, _, cuts) in enumerate(substrings.segment(alpha)):
+            for row in np.flatnonzero((cuts != masks[group]).any(axis=1)).tolist():
+                position = int(positions[row])
+                word, word_id = words[position], word_ids[position]
+                old, new = set(current[word]), _split_at(word, cuts[row])
+                current[word] = new
                 changed += 1
-            resegmented[word] = segmentation
-        current = resegmented
-        subwords, matrix = build_segmentation_matrix(
-            word_embeddings.tokens,
-            lexicon=SegmentedLexicon(current),
-            augment_chars=False,
-        )
-        stats = IterationStats(iteration, changed, len(subwords))
+                if iteration > 1:
+                    for piece in old.difference(new):
+                        members[piece].discard(word_id)
+                        touched.add(piece)
+                    for piece in set(new).difference(old):
+                        members[piece].add(word_id)
+                        touched.add(piece)
+            masks[group] = cuts
+        if iteration == 1:
+            # From here on the incidence is that of the segmentations alone.
+            fresh: dict[str, set[int]] = {}
+            for word, word_id in zip(words, word_ids):
+                for piece in current[word]:
+                    fresh.setdefault(piece, set()).add(word_id)
+            touched = {p for p, word_set in fresh.items() if word_set != set(members[p])}
+            touched.update(members.keys() - fresh.keys())
+            members = fresh
+        gone = [piece for piece in touched if not members.get(piece)]
+        for piece in gone:
+            members.pop(piece, None)
+            piece_row[substrings.piece_ids[piece]] = -1
+        dirty = sorted(touched.difference(gone))
+        stats = IterationStats(iteration, changed, len(members))
         history.append(stats)
         if progress is not None:
             progress(stats)
         if changed == 0:
             break
-    surviving = [solved.token_id(token) for token in subwords.tokens]
-    final_embeddings = EmbeddingTable(subwords.tokens, solved.vectors[surviving])
+    tokens = sorted(members)
     return RefinementState(
         iterations=history[-1].iteration,
-        subwords=subwords,
-        matrix=matrix,
-        embeddings=final_embeddings,
+        subwords=SubwordVocabulary(tokens),
+        matrix=SegmentationMatrix(counts.vocab_size, [sorted(members[p]) for p in tokens]),
+        embeddings=EmbeddingTable(
+            tokens, vectors[piece_row[[substrings.piece_ids[p] for p in tokens]]]
+        ),
         lexicon=SegmentedLexicon(current),
         history=tuple(history),
     )

@@ -6,8 +6,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from subseg.errors import ArgumentError, ValidationError
 from subseg.textio import _preview
 
@@ -106,6 +104,8 @@ def renyi_efficiency(
         raise ArgumentError(
             f"vocab_size {vocab_size} is below the observed type count {len(counts)}"
         )
+    import numpy as np  # deferred: eval-boundaries needs no arrays
+
     probabilities = np.asarray(counts, dtype=np.float64)
     probabilities /= probabilities.sum()
     if alpha == 1.0:

@@ -129,8 +129,7 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     with atomic_text_writer(path) as handle:
         handle.write(f"{len(table)} {table.dim}\n")
         for token, row in zip(table.tokens, table.vectors):
-            values = " ".join(repr(float(v)) for v in row)
-            handle.write(f"{token} {values}\n")
+            handle.write(f"{token} {' '.join(map(repr, row.tolist()))}\n")
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:

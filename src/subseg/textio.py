@@ -53,12 +53,20 @@ def _preview(items: Sequence[str], limit: int = 10) -> str:
     return shown if len(items) <= limit else f"{shown} (+{len(items) - limit} more)"
 
 
+def _umask() -> int:
+    # The umask can only be read by setting it, so set it straight back.
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
 def atomic_text_writer(path: str | Path) -> Iterator[IO[str]]:
     """Write a text file atomically: emit to a temp file, then rename.
 
-    An error in creating or renaming the temp file names ``path``, the
-    file the caller asked for.
+    The file gets the mode a plain ``open`` would give it, 0o666 less the
+    umask, rather than the temp file's 0o600.  An error in creating or
+    renaming the temp file names ``path``, the file the caller asked for.
     """
     path = Path(path)
     try:
@@ -68,6 +76,7 @@ def atomic_text_writer(path: str | Path) -> Iterator[IO[str]]:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
+            os.fchmod(handle.fileno(), 0o666 & ~_umask())
         try:
             os.replace(tmp, path)
         except OSError as exc:

@@ -2,6 +2,7 @@ import inspect
 import io
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -199,6 +200,40 @@ def test_refine_reports_iteration_stats(pipeline, capsys, tmp_path):
         iteration, changed, size = line.split("\t")
         assert int(iteration) >= 1 and int(changed) >= 0 and int(size) >= 1
     assert out.read_bytes() == pipeline["refined"].read_bytes()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_refine_rejects_a_non_finite_alpha(pipeline, capsys, tmp_path, alpha):
+    out = tmp_path / "never.tsv"
+    code = main(
+        [
+            "refine",
+            "--vocab",
+            str(pipeline["vocab"]),
+            "--counts",
+            str(pipeline["counts"]),
+            "--embeddings",
+            str(pipeline["emb"]),
+            "--output-matrix",
+            str(pipeline["outmat"]),
+            "--lexicon",
+            str(pipeline["lex0"]),
+            "--alpha",
+            alpha,
+            "-o",
+            str(out),
+        ]
+    )
+    assert code == 2
+    assert "alpha must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_outputs_get_the_umask_mode(pipeline):
+    mask = os.umask(0o022)
+    os.umask(mask)
+    for key in ("vocab", "counts", "lex0", "subemb", "refined", "refined_emb", "model"):
+        assert stat.S_IMODE(os.stat(pipeline[key]).st_mode) == 0o666 & ~mask, key
 
 
 def test_refined_lexicon_validates(pipeline):
@@ -482,13 +517,15 @@ for argv in [
     ["segment-embed", "corpus.txt", "--lexicon", "bpe.lex", "--word-per-line", "-o", "train.seg"],
     ["distill", "train.seg", "-o", "model.txt"],
     ["segment", "corpus.txt", "--model", "model.txt", "-o", "out.seg"],
+    ["eval-boundaries", "--pred", "bpe.lex", "--gold", "bpe.lex", "-o", "eval.txt"],
 ]:
     print(argv[0], main(argv), "numpy" in sys.modules)
 """
     ran = _run_python(["-c", script], b"", tmp_path)
     assert ran.returncode == 0, ran.stderr
     assert ran.stdout.decode().splitlines() == [
-        f"{stage} 0 False" for stage in ("vocab", "init-bpe", "segment-embed", "distill", "segment")
+        f"{stage} 0 False"
+        for stage in ("vocab", "init-bpe", "segment-embed", "distill", "segment", "eval-boundaries")
     ]
     assert (tmp_path / "out.seg").read_text(encoding="utf-8").replace(" ", "") == "undoingredoingundo\nredodoing\n"
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subseg import (
     ArgumentError,
@@ -20,7 +22,9 @@ from subseg import (
     smoothed_log_target,
 )
 
-from subseg.lexseg import _WordSubstrings
+from subseg import lexseg
+from subseg.lexseg import _split_at, _WordSubstrings
+from subseg.textio import ScoredSegmentation, _candidate_order
 
 from synthdata import agglutinative_corpus, consistent_embeddings
 
@@ -55,6 +59,49 @@ def _brute_force(word, word_vector, table, alpha):
         if best is None or key < best[0]:
             best = (key, tuple(parts), score)
     return best
+
+
+def _best_segmentation(word, sims, alpha):
+    """Reference DP: one hypothesis per prefix, candidates compared as tuples.
+
+    ``sims`` maps every substring of ``word`` that has a vector to its cosine.
+    """
+    n = len(word)
+    # One hypothesis per prefix length: (score, subword count, sequence).
+    best = [None] * (n + 1)
+    best[0] = (0.0, 0, ())
+    for end in range(1, n + 1):
+        chosen = None
+        for start in range(end):
+            prefix = best[start]
+            if prefix is None:
+                continue
+            piece = word[start:end]
+            similarity = sims.get(piece)
+            if similarity is None:
+                continue
+            candidate = (
+                prefix[0] + (similarity - alpha),
+                prefix[1] + 1,
+                prefix[2] + (piece,),
+            )
+            if chosen is None or _candidate_order(candidate) < _candidate_order(chosen):
+                chosen = candidate
+        best[end] = chosen
+    final = best[n]
+    if final is None:
+        missing = next(ch for ch in word if ch not in sims)
+        raise CoverageError(
+            f"cannot segment {word!r}: character {missing!r} is missing "
+            "from the subword vocabulary"
+        )
+    return ScoredSegmentation(final[2], final[0])
+
+
+def _reference_sims(word, word_vector, table):
+    """Cosine of ``word_vector`` to every substring of ``word`` in ``table``."""
+    pieces = {word[i:j] for i in range(len(word)) for j in range(i + 1, len(word) + 1)}
+    return {p: cosine(word_vector, table.vector(p)) for p in sorted(pieces) if p in table}
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +210,93 @@ def test_batched_similarities_equal_cosine_bitwise(dim):
     table = EmbeddingTable(tokens, vectors)
     word_vectors = rng.normal(size=(len(words), dim))
     word_vectors[1] = 0.0
-    batched = list(_WordSubstrings(words).similarities(word_vectors, table))
-    assert len(batched) == len(words)
-    for word, vector, sims in zip(words, word_vectors, batched):
-        pieces = {word[i:j] for i in range(len(word)) for j in range(i + 1, len(word) + 1)}
-        expected = {p: cosine(vector, table.vector(p)) for p in sorted(pieces) if p in table}
+    batched = _WordSubstrings(words, word_vectors)
+    piece_row = np.array([table.token_id(p) if p in table else -1 for p in batched.piece_ids])
+    batched.score(table.vectors, piece_row)
+
+    def scored(position):
+        pairs = np.flatnonzero(batched.pair_word == position)
+        pieces = list(batched.piece_ids)
+        return {
+            pieces[batched.pair_piece[pair]]: float(batched.cosines[pair])
+            for pair in pairs
+            if batched.present[pair]
+        }
+
+    for position, (word, vector) in enumerate(zip(words, word_vectors)):
+        sims = scored(position)
+        expected = _reference_sims(word, vector, table)
         assert sorted(sims) == sorted(expected)
         got = np.array([sims[p] for p in expected], dtype=np.float64)
         want = np.array(list(expected.values()), dtype=np.float64)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+
+    # Re-scoring some pieces against new vectors leaves the other pairs as they were.
+    before = batched.cosines.copy()
+    moved = [batched.piece_ids[p] for p in ("c", max(batched.piece_ids, key=len)) if p in table]
+    changed = np.array(table.vectors)
+    changed[piece_row[moved]] = rng.normal(size=(len(moved), dim))
+    batched.score(changed, piece_row, moved)
+    affected = np.isin(batched.pair_piece, moved)
+    assert np.array_equal(batched.cosines[:-1][~affected], before[:-1][~affected])
+    for pair in np.flatnonzero(affected):
+        piece = list(batched.piece_ids)[batched.pair_piece[pair]]
+        want = cosine(word_vectors[batched.pair_word[pair]], changed[table.token_id(piece)])
+        assert batched.cosines[pair] == want
+
+
+# A few fixed vectors with repeats, so that cosines and whole-split scores
+# tie exactly; the zero vector makes every cosine 0.
+_VECTOR_POOL = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 2.0], [3.0, -1.0]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    words=st.lists(st.text(alphabet="abc", min_size=1, max_size=7), min_size=1, max_size=8, unique=True),
+    all_chars=st.booleans(),
+    alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.25]),
+    data=st.data(),
+)
+def test_batched_dp_equals_reference_dp(words, all_chars, alpha, data):
+    words = sorted(words)
+    substrings = sorted({w[i:j] for w in words for i in range(len(w)) for j in range(i + 1, len(w) + 1)})
+    keep = data.draw(st.lists(st.booleans(), min_size=len(substrings), max_size=len(substrings)))
+    tokens = {piece for piece, kept in zip(substrings, keep) if kept}
+    if all_chars:
+        tokens |= {ch for word in words for ch in word}
+    tokens = sorted(tokens)
+    pick = st.integers(0, len(_VECTOR_POOL) - 1)
+    table = EmbeddingTable(
+        tokens,
+        _VECTOR_POOL[data.draw(st.lists(pick, min_size=len(tokens), max_size=len(tokens)))].reshape(-1, 2),
+    )
+    # Zero word vectors tie every split with the same number of pieces.
+    zero_or_pick = st.one_of(st.just(0), pick)
+    word_vectors = _VECTOR_POOL[data.draw(st.lists(zero_or_pick, min_size=len(words), max_size=len(words)))]
+
+    expected, error = [], None
+    for word, vector in zip(words, word_vectors):
+        try:
+            expected.append(_best_segmentation(word, _reference_sims(word, vector, table), alpha))
+        except CoverageError as exc:
+            error = str(exc)
+            break
+
+    batched = _WordSubstrings(words, word_vectors)
+    batched.score(
+        table.vectors,
+        np.array([table.token_id(p) if p in table else -1 for p in batched.piece_ids]),
+    )
+    if error is not None:
+        with pytest.raises(CoverageError) as excinfo:
+            batched.segment(alpha)
+        assert str(excinfo.value) == error  # the first uncovered word in sorted order
+        return
+    for positions, scores, masks in batched.segment(alpha):
+        for position, score, mask in zip(positions, scores, masks):
+            want = expected[position]
+            assert _split_at(words[position], mask) == want.subwords
+            assert np.float64(score).view(np.int64) == np.float64(want.score).view(np.int64)
 
 
 def test_piece_count_is_non_increasing_in_alpha():
@@ -296,7 +421,7 @@ def test_refine_is_deterministic_across_runs():
 
 
 def _reference_refine(lexicon0, embeddings, counts, output_rows, max_iters=10):
-    """The refinement loop from public calls: solve, then one embedding_segment per word."""
+    """The full refinement loop: solve every row, then run the reference DP on every word."""
     words = sorted(lexicon0.words())
     current = {word: lexicon0[word] for word in words}
     subwords, matrix = build_segmentation_matrix(
@@ -306,7 +431,9 @@ def _reference_refine(lexicon0, embeddings, counts, output_rows, max_iters=10):
     for iteration in range(1, max_iters + 1):
         solved = compute_subword_embeddings(subwords, matrix, counts, output_rows)
         resegmented = {
-            word: embedding_segment(word, embeddings.vector(word), solved).subwords
+            word: _best_segmentation(
+                word, _reference_sims(word, embeddings.vector(word), solved), 1.0
+            ).subwords
             for word in words
         }
         changed = sum(resegmented[word] != current[word] for word in words)
@@ -318,7 +445,7 @@ def _reference_refine(lexicon0, embeddings, counts, output_rows, max_iters=10):
         if changed == 0:
             break
     final = EmbeddingTable(subwords.tokens, [solved.vector(t) for t in subwords.tokens])
-    return SegmentedLexicon(current), history, final
+    return SegmentedLexicon(current), history, final, matrix
 
 
 @pytest.mark.parametrize(
@@ -332,11 +459,43 @@ def _reference_refine(lexicon0, embeddings, counts, output_rows, max_iters=10):
 def test_refine_equals_reference_loop_bitwise(inputs):
     lexicon0, embeddings, counts, output_rows, _ = _refinement_inputs(**inputs)
     state = refine(lexicon0, embeddings, counts, output_rows)
-    lexicon, history, final = _reference_refine(lexicon0, embeddings, counts, output_rows)
+    lexicon, history, final, matrix = _reference_refine(lexicon0, embeddings, counts, output_rows)
     assert state.lexicon == lexicon
+    assert state.subwords.tokens == final.tokens
+    assert state.matrix == matrix
     assert [(s.iteration, s.changed_words, s.subword_count) for s in state.history] == history
     assert state.embeddings.tokens == final.tokens
     assert np.array_equal(state.embeddings.vectors, final.vectors)
+
+
+def test_refine_solves_fewer_rows_than_the_full_loop(monkeypatch):
+    lexicon0, embeddings, counts, output_rows, _ = _refinement_inputs(
+        num_stems=20, num_suffixes=8, dim=32, seed=11, extra_merges=40, all_words=True
+    )
+    solved = []
+    original = lexseg.compute_subword_embeddings
+
+    def counting(subwords, matrix, *args, **kwargs):
+        solved.append(matrix.row_count)
+        return original(subwords, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(lexseg, "compute_subword_embeddings", counting)
+    state = refine(lexicon0, embeddings, counts, output_rows)
+    augmented, _ = build_segmentation_matrix(embeddings.tokens, lexicon=lexicon0, augment_chars=True)
+    full_loop = [len(augmented)] + [s.subword_count for s in state.history[:-1]]
+    assert state.iterations > 1
+    assert len(solved) <= len(full_loop)
+    assert sum(solved) < sum(full_loop)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_alpha_is_an_argument_error(alpha):
+    lexicon, embeddings, counts, output_rows = _two_word_setup()
+    with pytest.raises(ArgumentError, match="alpha must be finite"):
+        refine(lexicon, embeddings, counts, output_rows, alpha=alpha)
+    table = _table({"a": [1.0, 0.0]})
+    with pytest.raises(ArgumentError, match="alpha must be finite"):
+        embedding_segment("a", np.array([1.0, 0.0]), table, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,19 @@ def test_embeddings_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(loaded.vectors, table.vectors)  # repr() round-trip
 
 
+def test_save_embeddings_writes_repr_of_each_float(tmp_path):
+    rng = np.random.default_rng(12)
+    vectors = rng.normal(size=(4, 6)) * 10.0 ** rng.integers(-300, 300, size=(4, 6))
+    vectors[0, :4] = [-0.0, 5e-324, 1e16, 0.1]
+    table = EmbeddingTable(["a", "b", "c", "d"], vectors)
+    save_embeddings(table, tmp_path / "emb.txt")
+    expected = "4 6\n" + "".join(
+        f"{token} {' '.join(repr(float(v)) for v in row)}\n"
+        for token, row in zip(table.tokens, table.vectors)
+    )
+    assert (tmp_path / "emb.txt").read_text(encoding="utf-8") == expected
+
+
 def test_load_embeddings_parse_errors(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("2 2\na 1.0 2.0\n", encoding="utf-8")

@@ -1,5 +1,7 @@
 import io
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,21 @@ def test_atomic_writer_replaces_existing_content(tmp_path):
     with atomic_text_writer(path) as handle:
         handle.write("new\n")
     assert path.read_text(encoding="utf-8") == "new\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_writer_gives_the_file_the_umask_mode(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        with atomic_text_writer(tmp_path / "atomic.txt") as handle:
+            handle.write("x\n")
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as handle:
+            handle.write("x\n")
+    finally:
+        os.umask(previous)
+    mode = stat.S_IMODE(os.stat(tmp_path / "atomic.txt").st_mode)
+    assert mode == 0o666 & ~umask
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "plain.txt").st_mode)
 
 
 def test_atomic_writer_errors_name_the_requested_path(tmp_path):
