@@ -245,7 +245,7 @@ def _cmd_eval_renyi(args: argparse.Namespace) -> int:
     frequencies: Counter = Counter()
     for line in _input_lines(args.tokens):
         frequencies.update(line.split())
-    if args.word_separator is not None and not args.include_word_separator:
+    if args.word_separator is not None:
         frequencies.pop(args.word_separator, None)
     observed = sum(1 for count in frequencies.values() if count > 0)
     vocab_size = args.vocab_size if args.vocab_size is not None else observed
@@ -377,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--word-separator",
         default=None,
         help="separator token excluded from the frequency table",
-    )
-    p.add_argument(
-        "--include-word-separator",
-        action="store_true",
-        help="count the separator token instead of excluding it",
     )
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_eval_renyi)

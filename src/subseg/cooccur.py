@@ -21,6 +21,9 @@ the distinct pairs.
 
 On disk: a ``#COOC v1 |V|=<n> window=<w>`` header followed by upper-triangle
 triples ``id1<TAB>id2<TAB>count`` with id1 <= id2, sorted by (id1, id2).
+Loading parses the header and the integers of each row; every check on the
+rows themselves is ``CooccurrenceCounts``'s, and a row it rejects is
+reported as a ``ParseError`` at that row's line.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from subseg.errors import ArgumentError, ParseError, ValidationError
+from subseg.errors import ArgumentError, ParseError, ValidationError, rows_from_line
 from subseg.textio import Vocabulary, atomic_text_writer, read_corpus
 
 if TYPE_CHECKING:
@@ -79,20 +82,20 @@ class CooccurrenceCounts:
         i, j, value = table.T
         bad = np.flatnonzero((i < 0) | (i > j) | (j >= self.vocab_size))
         if bad.size:
-            k = bad[0]
+            k = int(bad[0])
             raise ValidationError(
-                f"pair ({i[k]}, {j[k]}) is not canonical for |V|={self.vocab_size}"
+                f"pair ({i[k]}, {j[k]}) is not canonical for |V|={self.vocab_size}", k
             )
         bad = np.flatnonzero(value <= 0)
         if bad.size:
-            k = bad[0]
-            raise ValidationError(f"pair ({i[k]}, {j[k]}) has nonpositive count {value[k]}")
+            k = int(bad[0])
+            raise ValidationError(f"pair ({i[k]}, {j[k]}) has nonpositive count {value[k]}", k)
         after = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
         bad = np.flatnonzero(~after)
         if bad.size:
-            k = bad[0] + 1
+            k = int(bad[0]) + 1
             raise ValidationError(
-                f"pair ({i[k]}, {j[k]}) does not come strictly after ({i[k - 1]}, {j[k - 1]})"
+                f"pair ({i[k]}, {j[k]}) does not come strictly after ({i[k - 1]}, {j[k - 1]})", k
             )
         table.flags.writeable = False
         object.__setattr__(self, "counts", table)
@@ -211,28 +214,15 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
     if window < 1:
         raise ParseError(f"header window {window} is invalid", 1)
     flat = array("q")
-    previous: tuple[int, int] | None = None
     for lineno, line in enumerate(lines, 2):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(f"expected 'id1<TAB>id2<TAB>count', got {line!r}", lineno)
         try:
-            i, j, value = (int(f) for f in fields)
+            flat.extend(map(int, fields))
         except ValueError:
             raise ParseError(f"non-integer field in {line!r}", lineno) from None
-        if i > j:
-            raise ParseError(f"pair ({i}, {j}) is not in canonical id1 <= id2 order", lineno)
-        if j >= vocab_size or i < 0:
-            raise ParseError(f"pair ({i}, {j}) is out of range for |V|={vocab_size}", lineno)
-        if value <= 0:
-            raise ParseError(f"pair ({i}, {j}) has nonpositive count {value}", lineno)
-        if (i, j) == previous:
-            raise ParseError(f"duplicate pair ({i}, {j})", lineno)
-        if previous is not None and (i, j) < previous:
-            raise ParseError(f"pair ({i}, {j}) breaks (id1, id2) sort order", lineno)
-        previous = (i, j)
-        try:
-            flat.extend((i, j, value))
         except OverflowError:
             raise ParseError(f"row {line!r} does not fit in int64", lineno) from None
-    return CooccurrenceCounts(vocab_size, window, np.frombuffer(flat, dtype=np.int64).reshape(-1, 3))
+    with rows_from_line(2):
+        return CooccurrenceCounts(vocab_size, window, np.frombuffer(flat, dtype=np.int64).reshape(-1, 3))

@@ -4,13 +4,20 @@ Each class maps onto one CLI exit code so failures stay scriptable:
 bad parameters exit 2, invalid data 3, numerical trouble 4, I/O 5.
 """
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 
 class ArgumentError(ValueError):
     """A parameter value is outside its documented range."""
 
 
 class ValidationError(ValueError):
-    """Input data violates a documented invariant."""
+    """Input data violates a documented invariant; ``row`` indexes the entry at fault, if known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ParseError(ValidationError):
@@ -36,3 +43,17 @@ class NumericalError(ArithmeticError):
 
 class CorpusIOError(OSError):
     """Corpus input could not be read or decoded."""
+
+
+@contextmanager
+def rows_from_line(first_line: int) -> Iterator[None]:
+    """Re-raise a ValidationError that names a ``row`` as a ParseError at its file line.
+
+    ``first_line`` is the 1-based line of row 0.
+    """
+    try:
+        yield
+    except ValidationError as exc:
+        if exc.row is None:
+            raise
+        raise ParseError(str(exc), first_line + exc.row) from None

@@ -90,8 +90,8 @@ def renyi_efficiency(
     degenerate case vocab_size == 1 (necessarily a single observed type)
     is defined as efficiency 1.0.
     """
-    if alpha <= 0:
-        raise ArgumentError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ArgumentError(f"alpha must be positive and finite, got {alpha}")
     counts = []
     for token, count in token_frequencies.items():
         if count < 0:

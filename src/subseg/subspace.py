@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from subseg.errors import ArgumentError, NumericalError, ParseError, ValidationError
+from subseg.errors import ArgumentError, NumericalError, ParseError, ValidationError, rows_from_line
 from subseg.cooccur import CooccurrenceCounts
 # SubwordVocabulary is re-exported: it lives in textio, which imports no numpy.
 from subseg.textio import (
@@ -75,12 +75,12 @@ class EmbeddingTable:
             raise ValidationError("embedding dimension must be positive")
         if not np.all(np.isfinite(vectors)):
             bad = int(np.argwhere(~np.isfinite(vectors).all(axis=1))[0][0])
-            raise ValidationError(f"non-finite vector for token {tokens[bad]!r}")
+            raise ValidationError(f"non-finite vector for token {tokens[bad]!r}", bad)
         index: dict[str, int] = {}
         for position, token in enumerate(tokens):
-            _check_token(token, "embedding token")
+            _check_token(token, "embedding token", row=position)
             if token in index:
-                raise ValidationError(f"duplicate embedding token {token!r}")
+                raise ValidationError(f"duplicate embedding token {token!r}", position)
             index[token] = position
         vectors.setflags(write=False)
         self._tokens = tokens
@@ -184,8 +184,9 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         tokens.append(fields[0])
         filled += 1
     if filled != row_count:
-        raise ValidationError(f"{path}: declared {row_count} rows but found {filled}")
-    return EmbeddingTable(tokens, vectors)
+        raise ParseError(f"header declared {row_count} rows but found {filled}", 1)
+    with rows_from_line(2):
+        return EmbeddingTable(tokens, vectors)
 
 
 def align_embeddings(table: EmbeddingTable, tokens: Sequence[str]) -> EmbeddingTable:
@@ -327,8 +328,8 @@ def smoothed_log_target(
     it is the reference the sparse form in :func:`_sparse_log_target` is
     tested against.
     """
-    if smoothing < 0:
-        raise ArgumentError(f"smoothing must be nonnegative, got {smoothing}")
+    if not 0 <= smoothing < math.inf:
+        raise ArgumentError(f"smoothing must be finite and nonnegative, got {smoothing}")
     if matrix.word_count != counts.vocab_size:
         raise ValidationError(
             f"matrix covers {matrix.word_count} words but counts cover {counts.vocab_size}"
@@ -381,8 +382,8 @@ class _RidgeFactor:
         from scipy.linalg import solve_triangular  # deferred like CooccurrenceCounts.matrix
 
         n_rows, dim = output_vectors.shape
-        if ridge < 0:
-            raise ArgumentError(f"ridge must be nonnegative, got {ridge}")
+        if not 0 <= ridge < math.inf:
+            raise ArgumentError(f"ridge must be finite and nonnegative, got {ridge}")
         if ridge == 0.0:
             if np.linalg.matrix_rank(output_vectors) < dim:
                 raise NumericalError(
@@ -468,8 +469,8 @@ def compute_subword_embeddings(
             "word coverage mismatch: matrix "
             f"{matrix.word_count}, counts {counts.vocab_size}, output rows {len(output_rows)}"
         )
-    if smoothing < 0:
-        raise ArgumentError(f"smoothing must be nonnegative, got {smoothing}")
+    if not 0 <= smoothing < math.inf:
+        raise ArgumentError(f"smoothing must be finite and nonnegative, got {smoothing}")
     if ridge is None:
         ridge = default_ridge(output_rows)
     factor = _ridge_factor(output_rows, ridge)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
-from subseg.errors import ArgumentError, CorpusIOError, ParseError, ValidationError
+from subseg.errors import ArgumentError, CorpusIOError, ParseError, ValidationError, rows_from_line
 
 MergePair = tuple[str, str]
 
@@ -36,14 +36,16 @@ OOV_POLICIES = ("error", "whole", "char")
 
 
 def _check_token(
-    token: str, what: str = "token", error: type[Exception] = ValidationError
+    token: str, what: str = "token", error: type[Exception] = ValidationError, row: int | None = None
 ) -> str:
-    """Return ``token`` if it is nonempty and free of whitespace, else raise ``error``."""
-    if not token:
-        raise error(f"empty {what}")
+    """Return ``token`` if it is nonempty and free of whitespace, else raise ``error``.
+
+    A given ``row`` goes into the error as the index of the entry at fault.
+    """
     # str.split() splits on exactly the characters str.isspace() accepts.
     if token.split() != [token]:
-        raise error(f"{what} {token!r} contains whitespace")
+        problem = f"{what} {token!r} contains whitespace" if token else f"empty {what}"
+        raise error(problem) if row is None else error(problem, row)
     return token
 
 
@@ -129,19 +131,19 @@ class Vocabulary:
         tokens: list[str] = []
         freqs: list[int] = []
         index: dict[str, int] = {}
-        for token, freq in entries:
-            _check_token(token)
+        for row, (token, freq) in enumerate(entries):
+            _check_token(token, row=row)
             if not isinstance(freq, int) or freq < 1:
-                raise ValidationError(f"token {token!r} has invalid frequency {freq!r}")
+                raise ValidationError(f"token {token!r} has invalid frequency {freq!r}", row)
             if token in index:
-                raise ValidationError(f"duplicate token {token!r}")
+                raise ValidationError(f"duplicate token {token!r}", row)
             if tokens:
                 prev_token, prev_freq = tokens[-1], freqs[-1]
                 if (-prev_freq, prev_token) >= (-freq, token):
                     raise ValidationError(
-                        f"token {token!r} breaks canonical order after {prev_token!r}"
+                        f"token {token!r} breaks canonical order after {prev_token!r}", row
                     )
-            index[token] = len(tokens)
+            index[token] = row
             tokens.append(token)
             freqs.append(freq)
         self._tokens = tuple(tokens)
@@ -211,8 +213,6 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 def load_vocabulary(path: str | Path) -> Vocabulary:
     entries: list[tuple[str, int]] = []
     for lineno, line in enumerate(read_corpus(path), 1):
-        if not line:
-            raise ParseError("blank vocabulary row", lineno)
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 'token<TAB>frequency', got {line!r}", lineno)
@@ -222,10 +222,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         except ValueError:
             raise ParseError(f"frequency {freq_text!r} is not an integer", lineno) from None
         entries.append((token, freq))
-    try:
+    with rows_from_line(1):
         return Vocabulary(entries)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
 
 
 class SegmentedLexicon:
@@ -242,19 +240,19 @@ class SegmentedLexicon:
     def __init__(self, entries: Mapping[str, Sequence[str]] | Iterable[tuple[str, Sequence[str]]] = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
         table: dict[str, tuple[str, ...]] = {}
-        for word, segmentation in items:
-            _check_token(word, "word")
+        for row, (word, segmentation) in enumerate(items):
+            _check_token(word, "word", row=row)
             parts = tuple(segmentation)
             if not parts:
-                raise ValidationError(f"word {word!r} has an empty segmentation")
+                raise ValidationError(f"word {word!r} has an empty segmentation", row)
             for part in parts:
-                _check_token(part, "subword")
+                _check_token(part, "subword", row=row)
             if "".join(parts) != word:
                 raise ValidationError(
-                    f"segmentation {list(parts)!r} does not concatenate to word {word!r}"
+                    f"segmentation {list(parts)!r} does not concatenate to word {word!r}", row
                 )
             if word in table:
-                raise ValidationError(f"duplicate lexicon entry for word {word!r}")
+                raise ValidationError(f"duplicate lexicon entry for word {word!r}", row)
             table[word] = parts
         self._entries = table
 
@@ -293,19 +291,13 @@ def save_lexicon(lexicon: SegmentedLexicon, path: str | Path) -> None:
 
 def load_lexicon(path: str | Path) -> SegmentedLexicon:
     entries: list[tuple[str, list[str]]] = []
-    seen: set[str] = set()
     for lineno, line in enumerate(read_corpus(path), 1):
-        if not line:
-            raise ParseError("blank lexicon row", lineno)
         fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1].strip():
+        if len(fields) != 2:
             raise ParseError(f"expected 'word<TAB>sub1 sub2 ...', got {line!r}", lineno)
-        word, seg_text = fields
-        if word in seen:
-            raise ParseError(f"duplicate entry for word {word!r}", lineno)
-        seen.add(word)
-        entries.append((word, seg_text.split()))
-    return SegmentedLexicon(entries)
+        entries.append((fields[0], fields[1].split(" ")))
+    with rows_from_line(1):
+        return SegmentedLexicon(entries)
 
 
 class SubwordVocabulary:

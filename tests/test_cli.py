@@ -376,20 +376,7 @@ def test_eval_renyi_separator_exclusion(tmp_path):
     assert (
         main(["eval-renyi", str(tokens), "--word-separator", "|", "-o", str(excluded)]) == 0
     )
-    assert (
-        main(
-            [
-                "eval-renyi",
-                str(tokens),
-                "--word-separator",
-                "|",
-                "--include-word-separator",
-                "-o",
-                str(included),
-            ]
-        )
-        == 0
-    )
+    assert main(["eval-renyi", str(tokens), "-o", str(included)]) == 0
     def eff(path):
         final = path.read_text(encoding="utf-8").strip().splitlines()[-1]
         return dict(part.split("=") for part in final.split())
@@ -571,6 +558,28 @@ def test_usage_errors_exit_2(pipeline, tmp_path, capsys):
     )
     assert code == 2
     assert "ridge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option, name", [("--ridge", "ridge"), ("--lambda", "smoothing")])
+def test_non_finite_ridge_or_lambda_exits_2(pipeline, tmp_path, capsys, option, value, name):
+    out = tmp_path / "never.txt"
+    common = ["--vocab", str(pipeline["vocab"]), "--counts", str(pipeline["counts"])]
+    common += ["--output-matrix", str(pipeline["outmat"]), "--lexicon", str(pipeline["lex0"])]
+    for stage in (["subword-embed"], ["refine", "--embeddings", str(pipeline["emb"])]):
+        assert main([*stage, *common, option, value, "-o", str(out)]) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_eval_renyi_rejects_a_non_finite_alpha(tmp_path, capsys, alpha):
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("a b a\n", encoding="utf-8")
+    out = tmp_path / "renyi.txt"
+    assert main(["eval-renyi", str(tokens), "--alpha", alpha, "-o", str(out)]) == 2
+    assert "alpha must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_distill_rejects_a_separator_no_token_can_equal(tmp_path, capsys):

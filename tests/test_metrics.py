@@ -258,5 +258,11 @@ def test_argument_errors():
         renyi_efficiency({}, vocab_size=2, alpha=2.5)
     with pytest.raises(ArgumentError):
         renyi_efficiency({"a": -1}, vocab_size=2, alpha=2.5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_non_finite_alpha_is_an_argument_error(alpha):
+    with pytest.raises(ArgumentError, match="alpha must be positive and finite"):
+        renyi_efficiency({"a": 1, "b": 2}, vocab_size=2, alpha=alpha)
     with pytest.raises(ArgumentError, match="vocab_size"):
         renyi_efficiency({"a": 1, "b": 1}, vocab_size=1, alpha=2.5)

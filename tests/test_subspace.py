@@ -116,6 +116,22 @@ def test_load_embeddings_parse_errors(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize(
+    "text, line, problem",
+    [
+        ("3 2\na 1.0 2.0\nb 3.0 4.0\na 5.0 6.0\n", 4, "duplicate embedding token 'a'"),
+        ("2 2\na 1.0 2.0\nb nan 4.0\n", 3, "non-finite vector for token 'b'"),
+        ("2 2\na 1.0 2.0\n 3.0 4.0\n", 3, "empty embedding token"),
+    ],
+)
+def test_load_embeddings_names_the_line_of_a_rejected_row(tmp_path, text, line, problem):
+    path = tmp_path / "emb.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=problem) as excinfo:
+        load_embeddings(path)
+    assert excinfo.value.line_number == line
+
+
 def test_load_embeddings_rejects_impossible_row_counts(tmp_path):
     path = tmp_path / "emb.txt"
     # A negative count, and counts or dimensions no file this small can hold:
@@ -352,6 +368,21 @@ def test_solver_rejects_bad_targets():
         right_inverse_solve(np.array([[np.nan, 0.0]]), table, ridge=1.0)
     with pytest.raises(ArgumentError, match="ridge"):
         right_inverse_solve(np.zeros((1, 2)), table, ridge=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_ridge_and_smoothing_are_argument_errors(value):
+    table = EmbeddingTable(["a", "b"], np.eye(2))
+    counts = _counts_from_dense([[1, 1], [1, 1]])
+    subwords, matrix = SubwordVocabulary(["a"]), SegmentationMatrix(2, [(0,)])
+    with pytest.raises(ArgumentError, match="ridge must be finite"):
+        right_inverse_solve(np.zeros((1, 2)), table, ridge=value)
+    with pytest.raises(ArgumentError, match="ridge must be finite"):
+        compute_subword_embeddings(subwords, matrix, counts, table, ridge=value)
+    with pytest.raises(ArgumentError, match="smoothing must be finite"):
+        compute_subword_embeddings(subwords, matrix, counts, table, smoothing=value)
+    with pytest.raises(ArgumentError, match="smoothing must be finite"):
+        smoothed_log_target(matrix, counts, smoothing=value)
 
 
 def test_default_ridge_formula():

@@ -231,6 +231,23 @@ def test_load_vocabulary_rejects_non_integer_frequency(tmp_path):
         load_vocabulary(path)
 
 
+@pytest.mark.parametrize(
+    "body, line, problem",
+    [
+        ("a\t3\nb\t2\nc\t5\n", 3, "breaks canonical order"),
+        ("a\t3\nb\t2\na\t1\n", 3, "duplicate token 'a'"),
+        ("a\t3\nb\t0\n", 2, "invalid frequency 0"),
+        ("a\t3\n\n", 2, "expected 'token<TAB>frequency'"),
+    ],
+)
+def test_load_vocabulary_names_the_line_of_a_rejected_row(tmp_path, body, line, problem):
+    path = tmp_path / "vocab.tsv"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ParseError, match=problem) as excinfo:
+        load_vocabulary(path)
+    assert excinfo.value.line_number == line
+
+
 # ---------------------------------------------------------------------------
 # SegmentedLexicon
 
@@ -273,6 +290,25 @@ def test_load_lexicon_rejects_duplicate_words(tmp_path):
     path.write_text("ab\ta b\nab\tab\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
         load_lexicon(path)
+
+
+@pytest.mark.parametrize(
+    "body, line, problem",
+    [
+        ("ab\ta b\ncd\tc e\n", 2, "does not concatenate to word 'cd'"),
+        ("ab\ta b\ncd\tc\u00a0d\n", 2, "subword 'c.*d' contains whitespace"),
+        ("ab\ta b\ncd\tcd\nab\tab\n", 3, "duplicate lexicon entry for word 'ab'"),
+        # Subwords are separated by single spaces, so a run of two leaves an empty one.
+        ("ab\ta  b\n", 1, "empty subword"),
+        ("ab\ta b\n\n", 2, "expected 'word<TAB>sub1 sub2 ...'"),
+    ],
+)
+def test_load_lexicon_names_the_line_of_a_rejected_row(tmp_path, body, line, problem):
+    path = tmp_path / "lex.tsv"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(ParseError, match=problem) as excinfo:
+        load_lexicon(path)
+    assert excinfo.value.line_number == line
 
 
 def test_lexicon_rejects_empty_segmentation():
