@@ -53,6 +53,10 @@ class BigramModel:
     (prev, next) pairs to positive counts.  Context totals are derived from
     the bigram table, and each one must stay within its unigram count, which
     is what catches hand-edited count tables at load time.
+
+    An error about one entry carries its ``row``: the entry's position among
+    the unigram entries followed by the bigram entries, in iteration order.
+    A context total above its unigram count is reported at that unigram.
     """
 
     __slots__ = (
@@ -70,33 +74,34 @@ class BigramModel:
         bigram_counts: Mapping[tuple[str, str], int],
     ):
         unigrams: dict[str, int] = {}
-        for token, count in unigram_counts.items():
-            _check_token(token, "subword")
+        for row, (token, count) in enumerate(unigram_counts.items()):
+            _check_token(token, "subword", row=row)
             if token == START_SYMBOL:
-                raise ValidationError(f"start symbol {START_SYMBOL!r} cannot be a subword")
+                raise ValidationError(f"start symbol {START_SYMBOL!r} cannot be a subword", row)
             if not isinstance(count, int) or count < 0:
-                raise ValidationError(f"subword {token!r} has invalid count {count!r}")
+                raise ValidationError(f"subword {token!r} has invalid count {count!r}", row)
             unigrams[token] = count
         bigrams: dict[tuple[str, str], int] = {}
         contexts: Counter = Counter()
-        for (prev, nxt), count in bigram_counts.items():
+        for row, ((prev, nxt), count) in enumerate(bigram_counts.items(), len(unigrams)):
             if nxt == START_SYMBOL:
                 raise ValidationError(
-                    f"start symbol {START_SYMBOL!r} may only appear as a context"
+                    f"start symbol {START_SYMBOL!r} may only appear as a context", row
                 )
             if nxt not in unigrams:
-                raise ValidationError(f"bigram target {nxt!r} is not in the subword inventory")
+                raise ValidationError(f"bigram target {nxt!r} is not in the subword inventory", row)
             if prev != START_SYMBOL and prev not in unigrams:
-                raise ValidationError(f"bigram context {prev!r} is not in the subword inventory")
+                raise ValidationError(f"bigram context {prev!r} is not in the subword inventory", row)
             if not isinstance(count, int) or count < 1:
-                raise ValidationError(f"bigram ({prev!r}, {nxt!r}) has invalid count {count!r}")
+                raise ValidationError(f"bigram ({prev!r}, {nxt!r}) has invalid count {count!r}", row)
             bigrams[(prev, nxt)] = count
             contexts[prev] += count
         for prev, context_total in contexts.items():
             if prev != START_SYMBOL and context_total > unigrams[prev]:
                 raise ValidationError(
                     f"context count {context_total} for {prev!r} exceeds its "
-                    f"unigram count {unigrams[prev]}; the count table is inconsistent"
+                    f"unigram count {unigrams[prev]}; the count table is inconsistent",
+                    list(unigrams).index(prev),
                 )
         self._unigrams = unigrams
         self._bigrams = bigrams
@@ -328,9 +333,7 @@ def load_model(path: str | Path) -> BigramModel:
     if not lines:
         raise ParseError("empty model file, missing header", 1)
     if lines[0] != _MODEL_HEADER:
-        raise ValidationError(
-            f"{path}: unsupported model header {lines[0]!r}, expected {_MODEL_HEADER!r}"
-        )
+        raise ParseError(f"unsupported model header {lines[0]!r}, expected {_MODEL_HEADER!r}", 1)
     if len(lines) < 2:
         raise ParseError("missing summary line", 2)
     summary = lines[1].split(" ")
@@ -377,19 +380,26 @@ def load_model(path: str | Path) -> BigramModel:
             except ValueError:
                 raise ParseError(f"non-integer count {count_text!r}", lineno) from None
     if section != "bigrams":
-        raise ValidationError(f"{path}: missing '#BIGRAMS' section")
-    model = BigramModel(unigrams, bigrams)
+        raise ValidationError("missing '#BIGRAMS' section")
+    try:
+        model = BigramModel(unigrams, bigrams)
+    except ValidationError as exc:
+        if exc.row is None:
+            raise
+        # Unigram rows start at line 4; the '#BIGRAMS' line sits between them
+        # and the bigram rows, which the model numbers on from the unigrams.
+        line = 4 + exc.row if exc.row < len(unigrams) else 5 + exc.row
+        raise ParseError(str(exc), line) from None
     if model.size != declared["|S|"]:
-        raise ValidationError(
-            f"{path}: declared |S|={declared['|S|']} but found {model.size} subwords"
-        )
+        raise ParseError(f"declared |S|={declared['|S|']} but found {model.size} subwords", 2)
     if model.total_tokens != declared["total"]:
-        raise ValidationError(
-            f"{path}: declared total={declared['total']} but counts sum to {model.total_tokens}"
+        raise ParseError(
+            f"declared total={declared['total']} but counts sum to {model.total_tokens}", 2
         )
     if model.max_subword_length != declared["maxlen"]:
-        raise ValidationError(
-            f"{path}: declared maxlen={declared['maxlen']} but longest subword has "
-            f"length {model.max_subword_length}"
+        raise ParseError(
+            f"declared maxlen={declared['maxlen']} but longest subword has "
+            f"length {model.max_subword_length}",
+            2,
         )
     return model

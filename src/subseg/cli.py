@@ -19,17 +19,19 @@ import codecs
 import functools
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, TypeVar
 
 # Only textio is imported here; each command imports the other modules it
 # uses, so a stage that needs no arrays starts without loading numpy.
 from subseg import textio
-from subseg.errors import ArgumentError, NumericalError, ValidationError
+from subseg.errors import ArgumentError, CorpusIOError, NumericalError, ValidationError
 
 if TYPE_CHECKING:
     from subseg import cooccur, lexseg, subspace
+
+_T = TypeVar("_T")
 
 # Distinct word types whose segmentation ``segment`` keeps in memory.
 _SEGMENT_MEMO_SIZE = 1 << 16
@@ -40,6 +42,19 @@ def _input_lines(path: str) -> Iterator[str]:
         # Decode the raw bytes like a file; a replaced text stream has no buffer.
         return textio.read_corpus(getattr(sys.stdin, "buffer", sys.stdin))
     return textio.read_corpus(path)
+
+
+def _load(load: Callable[[str], _T], path: str) -> _T:
+    """``load(path)``, naming ``path`` in a data error it raises.
+
+    The error keeps its type and attributes; only its message gains the
+    prefix, so each loader reports lines without knowing where they came from.
+    """
+    try:
+        return load(path)
+    except (ValidationError, CorpusIOError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 @contextmanager
@@ -93,14 +108,14 @@ def _cmd_vocab(args: argparse.Namespace) -> int:
 def _cmd_cooc(args: argparse.Namespace) -> int:
     from subseg import cooccur
 
-    vocab = textio.load_vocabulary(args.vocab)
+    vocab = _load(textio.load_vocabulary, args.vocab)
     counts = cooccur.count_cooccurrences(_input_lines(args.corpus), vocab, window=args.window)
     cooccur.save_counts(counts, args.output)
     return 0
 
 
 def _cmd_init_bpe(args: argparse.Namespace) -> int:
-    vocab = textio.load_vocabulary(args.vocab)
+    vocab = _load(textio.load_vocabulary, args.vocab)
     merges = textio.bpe_train(_input_lines(args.corpus), args.target_size)
     lexicon = textio.SegmentedLexicon(
         (word, textio.bpe_segment(word, merges)) for word in vocab.tokens
@@ -114,25 +129,30 @@ def _cmd_init_bpe(args: argparse.Namespace) -> int:
 def _load_aligned(path: str, vocab: textio.Vocabulary) -> subspace.EmbeddingTable:
     from subseg import subspace
 
-    return subspace.align_embeddings(subspace.load_embeddings(path), vocab.tokens)
+    return _load(lambda p: subspace.align_embeddings(subspace.load_embeddings(p), vocab.tokens), path)
 
 
-def _check_counts(counts: cooccur.CooccurrenceCounts, vocab: textio.Vocabulary) -> None:
+def _load_word_tables(
+    args: argparse.Namespace,
+) -> tuple[textio.Vocabulary, cooccur.CooccurrenceCounts]:
+    from subseg import cooccur
+
+    vocab = _load(textio.load_vocabulary, args.vocab)
+    counts = _load(cooccur.load_counts, args.counts)
     if counts.vocab_size != len(vocab):
         raise ValidationError(
             f"counts cover {counts.vocab_size} words but the vocabulary has {len(vocab)}"
         )
+    return vocab, counts
 
 
 def _cmd_subword_embed(args: argparse.Namespace) -> int:
-    from subseg import cooccur, subspace
+    from subseg import subspace
 
-    vocab = textio.load_vocabulary(args.vocab)
-    counts = cooccur.load_counts(args.counts)
-    _check_counts(counts, vocab)
+    vocab, counts = _load_word_tables(args)
     output_rows = _load_aligned(args.output_matrix, vocab)
     if args.lexicon:
-        lexicon = textio.load_lexicon(args.lexicon)
+        lexicon = _load(textio.load_lexicon, args.lexicon)
         subwords, matrix = subspace.build_segmentation_matrix(vocab.tokens, lexicon=lexicon)
     else:
         subwords, matrix = subspace.build_segmentation_matrix(
@@ -151,14 +171,12 @@ def _cmd_subword_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
-    from subseg import cooccur, lexseg, subspace
+    from subseg import lexseg, subspace
 
-    vocab = textio.load_vocabulary(args.vocab)
-    counts = cooccur.load_counts(args.counts)
-    _check_counts(counts, vocab)
+    vocab, counts = _load_word_tables(args)
     word_embeddings = _load_aligned(args.embeddings, vocab)
     output_rows = _load_aligned(args.output_matrix, vocab)
-    lexicon0 = textio.load_lexicon(args.lexicon)
+    lexicon0 = _load(textio.load_lexicon, args.lexicon)
 
     def report(stats: lexseg.IterationStats) -> None:
         print(
@@ -184,7 +202,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_segment_embed(args: argparse.Namespace) -> int:
-    lexicon = textio.load_lexicon(args.lexicon)
+    lexicon = _load(textio.load_lexicon, args.lexicon)
     rows = textio.segment_corpus(_input_lines(args.corpus), lexicon, oov_policy=args.oov_policy)
     with _output_stream(args.output) as handle:
         _write_segmented(rows, handle, args.word_per_line)
@@ -203,7 +221,7 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     from subseg import bigram
 
-    model = bigram.load_model(args.model)
+    model = _load(bigram.load_model, args.model)
 
     # Both searches are deterministic per (word, model), so memoizing each
     # word type is exact; the bound keeps memory flat on streaming input.
@@ -225,8 +243,8 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 def _cmd_eval_boundaries(args: argparse.Namespace) -> int:
     from subseg import metrics
 
-    predicted = textio.load_lexicon(args.pred)
-    gold = textio.load_lexicon(args.gold)
+    predicted = _load(textio.load_lexicon, args.pred)
+    gold = _load(textio.load_lexicon, args.gold)
     report = metrics.boundary_prf(predicted, gold)
     with _output_stream(args.output) as handle:
         handle.write(f"words evaluated: {len(predicted)}\n")

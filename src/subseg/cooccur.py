@@ -21,16 +21,22 @@ the distinct pairs.
 
 On disk: a ``#COOC v1 |V|=<n> window=<w>`` header followed by upper-triangle
 triples ``id1<TAB>id2<TAB>count`` with id1 <= id2, sorted by (id1, id2).
-Loading parses the header and the integers of each row; every check on the
-rows themselves is ``CooccurrenceCounts``'s, and a row it rejects is
-reported as a ``ParseError`` at that row's line.
+Saving formats a chunk of rows into one string per write.  Loading parses
+a block of rows (about ``_PARSE_BLOCK_CHARS`` characters) at a time with
+one ``np.loadtxt`` call.  A block that call cannot read exactly as
+``int()`` would, malformed rows included, is parsed row by row, which
+checks each row's field count and integers and reports the first bad row
+at its line.  Every check on the rows themselves is
+``CooccurrenceCounts``'s, and a row it rejects is reported as a
+``ParseError`` at that row's line.
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -50,6 +56,13 @@ _BLOCK_TOKENS = 1 << 18
 # Rows pairs() turns into Python ints at a time, so that writing a table
 # never holds all of it as Python objects.
 _PAIR_CHUNK = 1 << 16
+# Characters of row text a loader hands to one np.loadtxt call.
+_PARSE_BLOCK_CHARS = 1 << 16
+# np.loadtxt ends a row at "\r" and strips "\x1c"-"\x1f" from a field as
+# whitespace, where int() and float() reject them, and reads some non-ASCII
+# characters as digits of an integer ("\u01fe" as 462); a block holding any of
+# them, or anything outside ASCII, is parsed row by row.
+_LOADTXT_UNSAFE = "\r\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +209,82 @@ def count_cooccurrences(
 def save_counts(counts: CooccurrenceCounts, path: str | Path) -> None:
     with atomic_text_writer(path) as handle:
         handle.write(f"#COOC v1 |V|={counts.vocab_size} window={counts.window}\n")
-        for i, j, value in counts.pairs():
-            handle.write(f"{i}\t{j}\t{value}\n")
+        for start in range(0, len(counts.counts), _PAIR_CHUNK):
+            flat = counts.counts[start:start + _PAIR_CHUNK].ravel().tolist()
+            handle.write(("%d\t%d\t%d\n" * (len(flat) // 3)) % tuple(flat))
+
+
+def _row_blocks(rows: Iterable[str], first_line: int) -> Iterator[tuple[int, list[str]]]:
+    """Group row texts, one per line from ``first_line`` on, into blocks.
+
+    Yields (line of the block's first row, row texts), a block closing once
+    it holds ``_PARSE_BLOCK_CHARS`` characters.  When taking the next row
+    raises, the rows before it are yielded first, so that a parser reports
+    an error in an earlier row before it, as a per-line parser would.
+    """
+    block: list[str] = []
+    size = 0
+    try:
+        for row in rows:
+            block.append(row)
+            size += len(row)
+            if size >= _PARSE_BLOCK_CHARS:
+                yield first_line, block
+                first_line += len(block)
+                block, size = [], 0
+    except (ValidationError, OSError):
+        if block:
+            yield first_line, block
+        raise
+    if block:
+        yield first_line, block
+
+
+def _parse_block(
+    rows: list[str],
+    first_line: int,
+    dtype: type,
+    delimiter: str,
+    columns: int,
+    parse_row: Callable[[str, int], Sequence],
+) -> np.ndarray:
+    """The (len(rows), columns) array of ``rows``, the first at ``first_line``.
+
+    One ``np.loadtxt`` call parses a block it reads as ``parse_row`` would;
+    its result counts only with one row per text row, since it skips blank
+    rows.  Otherwise ``parse_row(row, lineno)`` parses each row in turn and
+    raises at the first it rejects.
+    """
+    text = "\n".join(rows)
+    if text.isascii() and not any(ch in text for ch in _LOADTXT_UNSAFE):
+        try:
+            with warnings.catch_warnings():
+                # A block with no data warns; the shape check rejects it.
+                warnings.simplefilter("ignore")
+                table = np.loadtxt(
+                    rows, dtype=dtype, delimiter=delimiter,
+                    comments=None, quotechar=None, ndmin=2,
+                )
+        except ValueError:
+            pass
+        else:
+            if table.shape == (len(rows), columns):
+                return table
+    return np.array(
+        [parse_row(row, lineno) for lineno, row in enumerate(rows, first_line)], dtype=dtype
+    )
+
+
+def _count_row(line: str, lineno: int) -> array:
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ParseError(f"expected 'id1<TAB>id2<TAB>count', got {line!r}", lineno)
+    try:
+        return array("q", map(int, fields))
+    except ValueError:
+        raise ParseError(f"non-integer field in {line!r}", lineno) from None
+    except OverflowError:
+        raise ParseError(f"row {line!r} does not fit in int64", lineno) from None
 
 
 def load_counts(path: str | Path) -> CooccurrenceCounts:
@@ -213,16 +300,13 @@ def load_counts(path: str | Path) -> CooccurrenceCounts:
     window = int(match.group(2))
     if window < 1:
         raise ParseError(f"header window {window} is invalid", 1)
-    flat = array("q")
-    for lineno, line in enumerate(lines, 2):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"expected 'id1<TAB>id2<TAB>count', got {line!r}", lineno)
-        try:
-            flat.extend(map(int, fields))
-        except ValueError:
-            raise ParseError(f"non-integer field in {line!r}", lineno) from None
-        except OverflowError:
-            raise ParseError(f"row {line!r} does not fit in int64", lineno) from None
+    # A block np.loadtxt reads into exactly three columns has no row with a
+    # wrong field count; _count_row checks it when a block is parsed by row.
+    blocks = [
+        _parse_block(rows, first, np.int64, "\t", 3, _count_row)
+        for first, rows in _row_blocks(lines, 2)
+    ]
+    table = np.concatenate(blocks) if blocks else np.empty((0, 3), dtype=np.int64)
+    blocks.clear()  # before CooccurrenceCounts copies the table
     with rows_from_line(2):
-        return CooccurrenceCounts(vocab_size, window, np.frombuffer(flat, dtype=np.int64).reshape(-1, 3))
+        return CooccurrenceCounts(vocab_size, window, table)

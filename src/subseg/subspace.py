@@ -27,7 +27,11 @@ update, with memory O(nnz(A C) + |S| dim) instead of O(|S| |V|).
 
 Embedding files are plain text: a ``<row_count> <dim>`` header, then one
 ``token v1 ... v<dim>`` row per vector.  Values use repr-style decimal
-formatting and survive a save/load round trip bit for bit.
+formatting and survive a save/load round trip bit for bit.  Loading parses
+the values a block of rows at a time with one ``np.loadtxt`` call, and a
+block that call cannot read exactly as ``float()`` would, malformed rows
+included, row by row, so a bad row is reported at its line (see
+``cooccur._parse_block``).
 """
 
 from __future__ import annotations
@@ -35,14 +39,14 @@ from __future__ import annotations
 import math
 import os
 import stat
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from subseg.errors import ArgumentError, NumericalError, ParseError, ValidationError, rows_from_line
-from subseg.cooccur import CooccurrenceCounts
+from subseg.cooccur import CooccurrenceCounts, _parse_block, _row_blocks
 # SubwordVocabulary is re-exported: it lives in textio, which imports no numpy.
 from subseg.textio import (
     SegmentedLexicon,
@@ -132,6 +136,11 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
             handle.write(f"{token} {' '.join(map(repr, row.tolist()))}\n")
 
 
+def _check_value_count(count: int, dim: int, lineno: int) -> None:
+    if count != dim:
+        raise ParseError(f"expected token plus {dim} values, got {count}", lineno)
+
+
 def load_embeddings(path: str | Path) -> EmbeddingTable:
     lines = read_corpus(path)
     try:
@@ -151,8 +160,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         raise ParseError(f"row count must be non-negative, got {row_count}", 1)
     # Every row takes at least 2 * dim + 1 bytes, so a regular file too small
     # for the declared rows is rejected before anything is allocated.  Rows
-    # then go into one block sized at the first row: all declared rows for a
-    # regular file; from a pipe, a block that doubles as rows arrive.
+    # then go into one buffer sized at the first block: all declared rows for
+    # a regular file; from a pipe, a buffer that doubles as rows arrive.
     info = os.stat(path)
     regular = stat.S_ISREG(info.st_mode)
     if regular and row_count * (2 * dim + 1) > info.st_size:
@@ -162,27 +171,39 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             1,
         )
     tokens: list[str] = []
-    vectors = np.empty((0, dim), dtype=np.float64)
-    filled = 0
-    for lineno, line in enumerate(lines, 2):
-        fields = line.split(" ")
-        if len(fields) != dim + 1:
-            raise ParseError(
-                f"expected token plus {dim} values, got {len(fields) - 1}", lineno
-            )
-        if filled >= row_count:
-            raise ParseError(f"more than the declared {row_count} rows", lineno)
-        if filled == len(vectors):
-            capacity = row_count if regular else min(row_count, max(1024, 2 * filled))
-            grown = np.empty((capacity, dim), dtype=np.float64)
-            grown[:filled] = vectors
-            vectors = grown
+
+    # A block np.loadtxt reads into exactly dim columns has no row with a
+    # wrong value count, so the count is checked only where a row is parsed
+    # on its own, and on a line rejected here, whose count error comes first.
+    def row_values() -> Iterator[str]:
+        for lineno, line in enumerate(lines, 2):
+            token, space, values = line.partition(" ")
+            if not space or len(tokens) >= row_count:
+                _check_value_count(line.count(" "), dim, lineno)
+                raise ParseError(f"more than the declared {row_count} rows", lineno)
+            tokens.append(token)
+            yield values
+
+    def vector(values: str, lineno: int) -> list[float]:
+        fields = values.split(" ")
+        _check_value_count(len(fields), dim, lineno)
         try:
-            vectors[filled] = [float(v) for v in fields[1:]]
+            return [float(v) for v in fields]
         except ValueError:
             raise ParseError("non-numeric vector component", lineno) from None
-        tokens.append(fields[0])
-        filled += 1
+
+    vectors = np.empty((0, dim), dtype=np.float64)
+    filled = 0
+    for first, rows in _row_blocks(row_values(), 2):
+        block = _parse_block(rows, first, np.float64, " ", dim, vector)
+        end = filled + len(block)
+        if end > len(vectors):
+            capacity = row_count if regular else min(row_count, max(1024, 2 * filled, end))
+            grown = np.empty((capacity, dim), dtype=np.float64)
+            grown[:filled] = vectors[:filled]
+            vectors = grown
+        vectors[filled:end] = block
+        filled = end
     if filled != row_count:
         raise ParseError(f"header declared {row_count} rows but found {filled}", 1)
     with rows_from_line(2):
@@ -190,7 +211,12 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
 
 def align_embeddings(table: EmbeddingTable, tokens: Sequence[str]) -> EmbeddingTable:
-    """Reorder rows to follow ``tokens``; every requested token must exist."""
+    """Reorder rows to follow ``tokens``; every requested token must exist.
+
+    A table already in that order is returned as it is.
+    """
+    if table.tokens == tuple(tokens):
+        return table
     missing = [token for token in tokens if token not in table]
     if missing:
         raise ValidationError(f"embedding table is missing tokens: {_preview(missing)}")
@@ -396,9 +422,11 @@ class _RidgeFactor:
                 [output_vectors, math.sqrt(ridge) * np.eye(dim, dtype=np.float64)]
             )
             q, r = np.linalg.qr(augmented)
-            q = q[:n_rows]
+            del augmented
         self.ridge = ridge
-        self.projector = np.ascontiguousarray(solve_triangular(r, q.T, lower=False).T)
+        # q[:n_rows].T is F-ordered, so the solve overwrites it in place and
+        # the transpose of its result is C-contiguous.
+        self.projector = solve_triangular(r, q[:n_rows].T, lower=False, overwrite_b=True).T
         self.column_sums = self.projector.sum(axis=0)
 
 

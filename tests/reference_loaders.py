@@ -1,21 +1,26 @@
-"""Per-line loaders for counts and lexicon files that check every row as they read it.
+"""Per-line loaders for counts, lexicon and embedding files.
 
 ``load_counts`` and ``load_lexicon`` once validated each row themselves,
 before handing the table to its type; they now only parse, and the table
-types do the checking.  These copies of the per-line versions are the
-oracle that the two agree: on the same file they return an equal table or
-raise the same error type at the same line.
+types do the checking.  ``load_embeddings`` parsed each row's values with
+``float()`` as it read the row; it now parses a block of rows at a time.
+These copies of the per-line versions are the oracle that the loaders
+agree with them: on the same file they return an equal table or raise the
+same error type at the same line.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 from array import array
 from pathlib import Path
 
 import numpy as np
 
-from subseg import CooccurrenceCounts, ParseError, SegmentedLexicon, read_corpus
+from subseg import CooccurrenceCounts, EmbeddingTable, ParseError, SegmentedLexicon, read_corpus
+from subseg.errors import rows_from_line
 
 _HEADER_RE = re.compile(r"^#COOC v1 \|V\|=(\d+) window=(\d+)$")
 
@@ -76,3 +81,56 @@ def load_lexicon(path: str | Path) -> SegmentedLexicon:
         seen.add(word)
         entries.append((word, seg_text.split()))
     return SegmentedLexicon(entries)
+
+
+def load_embeddings(path: str | Path) -> EmbeddingTable:
+    lines = read_corpus(path)
+    try:
+        header = next(lines)
+    except StopIteration:
+        raise ParseError("empty embedding file, missing header", 1) from None
+    fields = header.split()
+    if len(fields) != 2:
+        raise ParseError(f"expected '<row_count> <dim>' header, got {header!r}", 1)
+    try:
+        row_count, dim = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ParseError(f"non-integer header field in {header!r}", 1) from None
+    if dim < 1:
+        raise ParseError(f"dimension must be positive, got {dim}", 1)
+    if row_count < 0:
+        raise ParseError(f"row count must be non-negative, got {row_count}", 1)
+    info = os.stat(path)
+    regular = stat.S_ISREG(info.st_mode)
+    if regular and row_count * (2 * dim + 1) > info.st_size:
+        raise ParseError(
+            f"header declares {row_count} rows of dimension {dim}, "
+            f"more than the file's {info.st_size} bytes can hold",
+            1,
+        )
+    tokens: list[str] = []
+    vectors = np.empty((0, dim), dtype=np.float64)
+    filled = 0
+    for lineno, line in enumerate(lines, 2):
+        fields = line.split(" ")
+        if len(fields) != dim + 1:
+            raise ParseError(
+                f"expected token plus {dim} values, got {len(fields) - 1}", lineno
+            )
+        if filled >= row_count:
+            raise ParseError(f"more than the declared {row_count} rows", lineno)
+        if filled == len(vectors):
+            capacity = row_count if regular else min(row_count, max(1024, 2 * filled))
+            grown = np.empty((capacity, dim), dtype=np.float64)
+            grown[:filled] = vectors
+            vectors = grown
+        try:
+            vectors[filled] = [float(v) for v in fields[1:]]
+        except ValueError:
+            raise ParseError("non-numeric vector component", lineno) from None
+        tokens.append(fields[0])
+        filled += 1
+    if filled != row_count:
+        raise ParseError(f"header declared {row_count} rows but found {filled}", 1)
+    with rows_from_line(2):
+        return EmbeddingTable(tokens, vectors)

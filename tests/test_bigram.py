@@ -378,3 +378,57 @@ def test_load_model_parse_errors_carry_line_numbers(tmp_path):
     )
     with pytest.raises(ParseError, match="line 4"):
         load_model(path)
+
+
+def _model_text(unigrams, bigrams, summary="|S|=2 total=2 maxlen=1"):
+    return f"LEGROS-BIGRAM v1\n{summary}\n#UNIGRAMS\n{unigrams}#BIGRAMS\n{bigrams}"
+
+
+@pytest.mark.parametrize(
+    "unigrams, bigrams, line, problem",
+    [
+        ("a\t1\nb\t-1\n", "", 5, "subword 'b' has invalid count -1"),
+        ("a\t1\n###\t1\n", "", 5, "start symbol '###' cannot be a subword"),
+        ("a\t1\nb\t1\n", "###\ta\t1\n###\tc\t1\n", 8, "bigram target 'c' is not in"),
+        ("a\t1\nb\t1\n", "###\ta\t1\nc\ta\t1\n", 8, "bigram context 'c' is not in"),
+        ("a\t1\nb\t1\n", "###\ta\t1\n###\tb\t0\n", 8, r"bigram \('###', 'b'\) has invalid count 0"),
+        ("a\t1\nb\t1\n", "a\tb\t1\nb\ta\t2\n", 5, "context count 2 for 'b' exceeds its unigram count 1"),
+    ],
+)
+def test_load_model_names_the_line_of_an_entry_the_model_rejects(tmp_path, unigrams, bigrams, line, problem):
+    path = tmp_path / "model.bigram"
+    path.write_text(_model_text(unigrams, bigrams), encoding="utf-8")
+    with pytest.raises(ParseError, match=problem) as excinfo:
+        load_model(path)
+    assert excinfo.value.line_number == line
+
+
+@pytest.mark.parametrize(
+    "summary, problem",
+    [
+        ("|S|=3 total=2 maxlen=1", r"declared \|S\|=3"),
+        ("|S|=2 total=5 maxlen=1", "declared total=5"),
+        ("|S|=2 total=2 maxlen=4", "declared maxlen=4"),
+    ],
+)
+def test_load_model_names_the_summary_line_of_a_wrong_total(tmp_path, summary, problem):
+    path = tmp_path / "model.bigram"
+    path.write_text(_model_text("a\t1\nb\t1\n", "###\ta\t1\n", summary), encoding="utf-8")
+    with pytest.raises(ParseError, match=problem) as excinfo:
+        load_model(path)
+    assert excinfo.value.line_number == 2
+    path.write_text("LEGROS-BIGRAM v2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="unsupported model header") as excinfo:
+        load_model(path)
+    assert excinfo.value.line_number == 1
+    assert str(path) not in str(excinfo.value)
+
+
+def test_model_entry_errors_carry_their_row():
+    # Rows number the unigram entries, then the bigram entries.
+    with pytest.raises(ValidationError, match="invalid count 0") as excinfo:
+        BigramModel({"a": 1, "b": 1}, {(START_SYMBOL, "a"): 1, (START_SYMBOL, "b"): 0})
+    assert excinfo.value.row == 3
+    with pytest.raises(ValidationError, match="exceeds") as excinfo:
+        BigramModel({"a": 1, "b": 1}, {("b", "a"): 2})
+    assert excinfo.value.row == 1

@@ -713,3 +713,55 @@ def test_rerunning_a_stage_is_byte_identical(pipeline, tmp_path):
         == 0
     )
     assert again.read_bytes() == pipeline["counts"].read_bytes()
+
+
+def _replace_line(line, text):
+    """Corrupt a file by putting ``text(lines)`` on its ``line``."""
+    return lambda lines: [*lines[: line - 1], text(lines), *lines[line:]]
+
+
+def _zero_start_counts(lines):
+    return [line[:-1] + "0" if line.startswith("###\t") else line for line in lines]
+
+
+@pytest.mark.parametrize(
+    "command, key, corrupt, problem",
+    [
+        ("subword-embed", "vocab", _replace_line(2, lambda lines: lines[0]), "duplicate token"),
+        ("subword-embed", "counts", _replace_line(3, lambda lines: "0\t1\tmany"), "non-integer field"),
+        ("subword-embed", "outmat", _replace_line(4, lambda lines: lines[3] + "x"), "non-numeric vector"),
+        ("subword-embed", "lex0", _replace_line(2, lambda lines: "ab"), "expected 'word<TAB>"),
+        ("refine", "emb", _replace_line(3, lambda lines: lines[1]), "duplicate embedding token"),
+        ("refine", "counts", lambda lines: [*lines, "0\t0\t1"], "does not come strictly after"),
+        ("segment", "model", _zero_start_counts, "has invalid count 0"),
+    ],
+)
+def test_data_errors_name_their_file_once(pipeline, tmp_path, capsys, command, key, corrupt, problem):
+    lines = pipeline[key].read_text(encoding="utf-8").splitlines()
+    corrupted = corrupt(lines)
+    # The first line that differs, or the appended one.
+    line = next((n for n, (a, b) in enumerate(zip(corrupted, lines), 1) if a != b), len(lines) + 1)
+    bad = tmp_path / pipeline[key].name
+    bad.write_text("".join(text + "\n" for text in corrupted), encoding="utf-8")
+    paths = {name: str(bad if name == key else path) for name, path in pipeline.items()}
+    out = str(tmp_path / "out.txt")
+    tables = ["--vocab", paths["vocab"], "--counts", paths["counts"],
+              "--output-matrix", paths["outmat"], "--lexicon", paths["lex0"], "-o", out]
+    args = {
+        "subword-embed": tables,
+        "refine": [*tables, "--embeddings", paths["emb"]],
+        "segment": [paths["corpus"], "--model", paths["model"], "-o", out],
+    }[command]
+    assert main([command, *args]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line {line}: "), err
+    assert problem in err and err.count(str(bad)) == 1
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_a_decoding_error_names_its_file(pipeline, tmp_path, capsys):
+    bad = tmp_path / "vocab.tsv"
+    bad.write_bytes(pipeline["vocab"].read_bytes() + b"\xff\t1\n")
+    code = main(["cooc", str(pipeline["corpus"]), "--vocab", str(bad), "-o", str(tmp_path / "counts.tsv")])
+    assert code == 5
+    assert capsys.readouterr().err.startswith(f"error: {bad}: line ")

@@ -204,6 +204,60 @@ def test_load_counts_rejects_malformed_triples(tmp_path, body, pattern):
         load_counts(path)
 
 
+def test_save_counts_writes_one_row_per_line_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(cooccur, "_PAIR_CHUNK", 3)
+    rng = random.Random(7)
+    lines = _random_lines(rng)
+    counts = count_cooccurrences(lines, build_vocabulary(lines, max_size=10), window=3)
+    path = tmp_path / "counts.tsv"
+    save_counts(counts, path)
+    rows = "".join(f"{i}\t{j}\t{value}\n" for i, j, value in counts.pairs())
+    assert len(counts.counts) > 3
+    assert path.read_text(encoding="utf-8") == f"#COOC v1 |V|={counts.vocab_size} window=3\n" + rows
+
+
+@pytest.mark.parametrize(
+    "row, parsed",
+    [
+        ("0\t1\t1_0", [0, 1, 10]),
+        ("0\t+1\t5", [0, 1, 5]),
+        ("0\t 1\t5 ", [0, 1, 5]),
+        ("0\t1\r\t5", [0, 1, 5]),
+        ("0\t1\t5\u0665", [0, 1, 55]),
+        ("\u0660\t1\t5", [0, 1, 5]),
+        ("0\t1\t9223372036854775807", [0, 1, 2**63 - 1]),
+    ],
+)
+@pytest.mark.parametrize("block_chars", [1, 1 << 20])
+def test_load_counts_reads_fields_as_int_does(tmp_path, monkeypatch, row, parsed, block_chars):
+    # np.loadtxt rejects or misreads each of these fields; int() decides.
+    monkeypatch.setattr(cooccur, "_PARSE_BLOCK_CHARS", block_chars)
+    path = tmp_path / "counts.tsv"
+    path.write_text(f"#COOC v1 |V|=2 window=5\n0\t0\t1\n{row}\n1\t1\t2\n", encoding="utf-8")
+    assert load_counts(path).counts.tolist() == [[0, 0, 1], parsed, [1, 1, 2]]
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("0\t1\t\x1c5", "non-integer field"),
+        ("0\t1\t5\x1f", "non-integer field"),
+        ("0\t1\t1\u01fe", "non-integer field"),
+        ("0\t1\t1\r5", "non-integer field"),
+        ("0\t1\t9223372036854775808", "does not fit in int64"),
+        ("0\t1\t\t5", "expected 'id1<TAB>id2<TAB>count'"),
+    ],
+)
+@pytest.mark.parametrize("block_chars", [1, 1 << 20])
+def test_load_counts_names_the_line_int_rejects(tmp_path, monkeypatch, row, problem, block_chars):
+    monkeypatch.setattr(cooccur, "_PARSE_BLOCK_CHARS", block_chars)
+    path = tmp_path / "counts.tsv"
+    path.write_text(f"#COOC v1 |V|=2 window=5\n0\t0\t1\n{row}\n1\t1\t0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=problem) as excinfo:
+        load_counts(path)
+    assert excinfo.value.line_number == 3
+
+
 def test_load_counts_rejects_bad_header(tmp_path):
     path = tmp_path / "counts.tsv"
     for header in ("#CO v9", "#COOC v1 |V|=1 window=0"):

@@ -24,6 +24,8 @@ from subseg import (
     save_embeddings,
     smoothed_log_target,
 )
+from subseg import cooccur
+from subseg.subspace import _RidgeFactor
 
 
 # Row-relative agreement required between the sparse solve and the dense
@@ -132,6 +134,46 @@ def test_load_embeddings_names_the_line_of_a_rejected_row(tmp_path, text, line, 
     assert excinfo.value.line_number == line
 
 
+@pytest.mark.parametrize(
+    "value, parsed",
+    [("1_0", 10.0), ("\uff11", 1.0), ("\u0661", 1.0), ("+5", 5.0), (".5", 0.5), ("\t2", 2.0), ("-0.0", -0.0)],
+)
+def test_load_embeddings_reads_values_as_float_does(tmp_path, value, parsed):
+    # np.loadtxt rejects the first three; float() decides, row by row.
+    path = tmp_path / "emb.txt"
+    path.write_text(f"2 2\na 1.0 2.0\nb 3.0 {value}\n", encoding="utf-8")
+    vectors = load_embeddings(path).vectors
+    assert vectors.tolist() == [[1.0, 2.0], [3.0, parsed]]
+    assert np.signbit(vectors[1, 1]) == np.signbit(parsed)
+
+
+@pytest.mark.parametrize("value", ["\x1c1", "1\x1f", "1\r2", "0x10", "#1", ""])
+def test_load_embeddings_names_the_line_of_a_value_float_rejects(tmp_path, value):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"3 2\na 1.0 2.0\nb 3.0 {value}\nc 5.0 6.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="non-numeric vector component") as excinfo:
+        load_embeddings(path)
+    assert excinfo.value.line_number == 3
+
+
+def test_load_embeddings_reports_the_first_bad_line_across_blocks(tmp_path, monkeypatch):
+    # A value error on line 3 comes before the value-count error of the
+    # token-only line 5, though line 5 is rejected while the rows before it
+    # are still waiting to be parsed.
+    monkeypatch.setattr(cooccur, "_PARSE_BLOCK_CHARS", 1 << 20)
+    path = tmp_path / "emb.txt"
+    path.write_text("4 1\na 1.0\nb x\nc 3.0\nd\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="non-numeric") as excinfo:
+        load_embeddings(path)
+    assert excinfo.value.line_number == 3
+    # With one row per block, a later block still names its own line.
+    monkeypatch.setattr(cooccur, "_PARSE_BLOCK_CHARS", 1)
+    path.write_text("3 1\na 1.0\nb 2.0\nc x\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="non-numeric") as excinfo:
+        load_embeddings(path)
+    assert excinfo.value.line_number == 4
+
+
 def test_load_embeddings_rejects_impossible_row_counts(tmp_path):
     path = tmp_path / "emb.txt"
     # A negative count, and counts or dimensions no file this small can hold:
@@ -171,6 +213,7 @@ def test_load_embeddings_from_a_pipe_grows_its_buffer(tmp_path):
 
 def test_align_embeddings_reorders_and_reports_missing():
     table = EmbeddingTable(["b", "a"], np.array([[1.0], [2.0]]))
+    assert align_embeddings(table, ["b", "a"]) is table
     aligned = align_embeddings(table, ["a", "b"])
     assert aligned.tokens == ("a", "b")
     assert aligned.vector("a")[0] == 2.0
@@ -383,6 +426,19 @@ def test_non_finite_ridge_and_smoothing_are_argument_errors(value):
         compute_subword_embeddings(subwords, matrix, counts, table, smoothing=value)
     with pytest.raises(ArgumentError, match="smoothing must be finite"):
         smoothed_log_target(matrix, counts, smoothing=value)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+def test_ridge_projector_equals_the_copying_solve_bit_for_bit(ridge):
+    from scipy.linalg import solve_triangular
+
+    rows = np.random.default_rng(12).standard_normal((40, 6))
+    stacked = np.vstack([rows, math.sqrt(ridge) * np.eye(6)]) if ridge else rows
+    q, r = np.linalg.qr(stacked)
+    expected = np.ascontiguousarray(solve_triangular(r, q[:40].T, lower=False).T)
+    projector = _RidgeFactor(rows, ridge).projector
+    assert projector.flags.c_contiguous
+    assert projector.tobytes() == expected.tobytes()
 
 
 def test_default_ridge_formula():
