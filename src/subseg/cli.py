@@ -44,17 +44,25 @@ def _input_lines(path: str) -> Iterator[str]:
     return textio.read_corpus(path)
 
 
-def _load(load: Callable[[str], _T], path: str) -> _T:
-    """``load(path)``, naming ``path`` in a data error it raises.
+@contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Name ``path`` in a data error raised inside the block.
 
     The error keeps its type and attributes; only its message gains the
-    prefix, so each loader reports lines without knowing where they came from.
+    prefix, so loaders and corpus readers report lines without knowing
+    where they came from.  ``-`` is named ``<stdin>``.
     """
     try:
-        return load(path)
+        yield
     except (ValidationError, CorpusIOError) as exc:
-        exc.args = (f"{path}: {exc}",)
+        exc.args = (f"{'<stdin>' if path == '-' else path}: {exc}",)
         raise
+
+
+def _load(load: Callable[[str], _T], path: str) -> _T:
+    """``load(path)``, naming ``path`` in a data error it raises."""
+    with _naming(path):
+        return load(path)
 
 
 @contextmanager
@@ -96,11 +104,12 @@ def _write_segmented(
 
 
 def _cmd_vocab(args: argparse.Namespace) -> int:
-    vocab = textio.build_vocabulary(
-        _input_lines(args.corpus),
-        max_size=args.max_size,
-        min_freq=args.min_freq,
-    )
+    with _naming(args.corpus):
+        vocab = textio.build_vocabulary(
+            _input_lines(args.corpus),
+            max_size=args.max_size,
+            min_freq=args.min_freq,
+        )
     textio.save_vocabulary(vocab, args.output)
     return 0
 
@@ -109,14 +118,16 @@ def _cmd_cooc(args: argparse.Namespace) -> int:
     from subseg import cooccur
 
     vocab = _load(textio.load_vocabulary, args.vocab)
-    counts = cooccur.count_cooccurrences(_input_lines(args.corpus), vocab, window=args.window)
+    with _naming(args.corpus):
+        counts = cooccur.count_cooccurrences(_input_lines(args.corpus), vocab, window=args.window)
     cooccur.save_counts(counts, args.output)
     return 0
 
 
 def _cmd_init_bpe(args: argparse.Namespace) -> int:
     vocab = _load(textio.load_vocabulary, args.vocab)
-    merges = textio.bpe_train(_input_lines(args.corpus), args.target_size)
+    with _naming(args.corpus):
+        merges = textio.bpe_train(_input_lines(args.corpus), args.target_size)
     lexicon = textio.SegmentedLexicon(
         (word, textio.bpe_segment(word, merges)) for word in vocab.tokens
     )
@@ -204,7 +215,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 def _cmd_segment_embed(args: argparse.Namespace) -> int:
     lexicon = _load(textio.load_lexicon, args.lexicon)
     rows = textio.segment_corpus(_input_lines(args.corpus), lexicon, oov_policy=args.oov_policy)
-    with _output_stream(args.output) as handle:
+    with _naming(args.corpus), _output_stream(args.output) as handle:
         _write_segmented(rows, handle, args.word_per_line)
     return 0
 
@@ -213,7 +224,8 @@ def _cmd_distill(args: argparse.Namespace) -> int:
     from subseg import bigram
 
     groups = bigram.iter_word_groups(_input_lines(args.corpus), separator=args.separator)
-    model = bigram.distill(groups)
+    with _naming(args.corpus):
+        model = bigram.distill(groups)
     bigram.save_model(model, args.output)
     return 0
 
@@ -235,7 +247,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         for line in _input_lines(args.corpus):
             yield [segment_word(word) for word in line.split()]
 
-    with _output_stream(args.output) as handle:
+    with _naming(args.corpus), _output_stream(args.output) as handle:
         _write_segmented(rows(), handle, args.word_per_line)
     return 0
 
@@ -261,8 +273,9 @@ def _cmd_eval_renyi(args: argparse.Namespace) -> int:
     from subseg import metrics
 
     frequencies: Counter = Counter()
-    for line in _input_lines(args.tokens):
-        frequencies.update(line.split())
+    with _naming(args.tokens):
+        for line in _input_lines(args.tokens):
+            frequencies.update(line.split())
     if args.word_separator is not None:
         frequencies.pop(args.word_separator, None)
     observed = sum(1 for count in frequencies.values() if count > 0)

@@ -464,7 +464,7 @@ def refine(
         iterations=history[-1].iteration,
         subwords=SubwordVocabulary(tokens),
         matrix=SegmentationMatrix(counts.vocab_size, [sorted(members[p]) for p in tokens]),
-        embeddings=EmbeddingTable(
+        embeddings=EmbeddingTable._owning(
             tokens, vectors[piece_row[[substrings.piece_ids[p] for p in tokens]]]
         ),
         lexicon=SegmentedLexicon(current),

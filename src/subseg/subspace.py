@@ -8,11 +8,13 @@ co-occurrence rows A C yield targets T = log of the smoothed, normalized
 pooled rows, and subword input vectors are recovered by a ridge-regularized
 right inverse
 
-    E_sub = T W^T (W W^T + ridge I)^{-1} = T P,   P = Q R^{-T},
+    E_sub = T W^T (W W^T + ridge I)^{-1} = T P,
 
-where Q R is the QR factorization of W^T, stacked over sqrt(ridge) I when
-the ridge is positive.  P (|V| x dim) is computed once per output matrix
-and kept on its table, so repeated solves against the same W reuse it.
+where the output matrix W (dim x |V|) is stored as one row per word.  P
+(|V| x dim) is built from the dim x dim Gram matrix W W^T + ridge I with
+numpy alone (``_RidgeFactor`` states its conditioning check and error
+bound), once per output matrix, and kept on its table, so repeated solves
+against the same W reuse it.
 
 The targets are never formed densely.  With smoothing lambda > 0, row s is
 a constant plus a sparse row,
@@ -67,8 +69,16 @@ class EmbeddingTable:
     __slots__ = ("_tokens", "_vectors", "_index", "_factor")
 
     def __init__(self, tokens: Sequence[str], vectors: np.ndarray):
-        tokens = tuple(tokens)
-        vectors = np.array(vectors, dtype=np.float64, copy=True)
+        self._adopt(tuple(tokens), np.array(vectors, dtype=np.float64, copy=True))
+
+    @classmethod
+    def _owning(cls, tokens: Sequence[str], vectors: np.ndarray) -> EmbeddingTable:
+        """A table that takes over ``vectors``, a float64 array no one else holds, uncopied."""
+        table = cls.__new__(cls)
+        table._adopt(tuple(tokens), vectors)
+        return table
+
+    def _adopt(self, tokens: tuple[str, ...], vectors: np.ndarray) -> None:
         if vectors.ndim != 2:
             raise ValidationError(f"vectors must be 2-dimensional, got shape {vectors.shape}")
         if vectors.shape[0] != len(tokens):
@@ -207,7 +217,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     if filled != row_count:
         raise ParseError(f"header declared {row_count} rows but found {filled}", 1)
     with rows_from_line(2):
-        return EmbeddingTable(tokens, vectors)
+        return EmbeddingTable._owning(tokens, vectors)
 
 
 def align_embeddings(table: EmbeddingTable, tokens: Sequence[str]) -> EmbeddingTable:
@@ -221,7 +231,7 @@ def align_embeddings(table: EmbeddingTable, tokens: Sequence[str]) -> EmbeddingT
     if missing:
         raise ValidationError(f"embedding table is missing tokens: {_preview(missing)}")
     order = [table.token_id(token) for token in tokens]
-    return EmbeddingTable(tokens, table.vectors[order])
+    return EmbeddingTable._owning(tokens, table.vectors[order])
 
 
 class SegmentationMatrix:
@@ -395,38 +405,54 @@ def default_ridge(output_rows: EmbeddingTable) -> float:
     return 1e-6 * float(np.sum(rows * rows)) / output_rows.dim
 
 
+# Rows of W^T multiplied by G^{-1} at a time: BLAS workspace grows with the
+# operand, and in blocks of this size it stays a few MB, so the factor's peak
+# is the projector itself.
+_PROJECTION_ROWS = 1024
+
+
 class _RidgeFactor:
     """Right-inverse projector of one output matrix for one ridge strength.
 
-    ``projector`` is P = Q R^{-T} (|V| x dim) from the QR factorization of
-    W^T, stacked over sqrt(ridge) I when ridge > 0, so the ridge solution
-    for any target rows T is T P.  ``column_sums`` is 1^T P, the image of a
-    constant target row.
+    ``output_vectors`` holds W^T, one row per word.  ``projector`` is
+    P = W^T G^{-1} (|V| x dim), built from the dim x dim Gram matrix
+    G = W W^T + ridge I, so the ridge solution for any target rows T is
+    T P.  ``column_sums`` is 1^T P, the image of a constant target row.
+
+    G must be invertible at working precision: a G whose eigenvalues have
+    lambda_min <= dim * eps * lambda_max (eps = 2^-52) raises NumericalError,
+    with any ridge.  Past that check P has a normwise relative error of
+    about cond(G) * eps, cond(G) = lambda_max / lambda_min; the default
+    ridge bounds cond(G) by 1 + 1e6 * dim.
     """
 
     def __init__(self, output_vectors: np.ndarray, ridge: float):
-        from scipy.linalg import solve_triangular  # deferred like CooccurrenceCounts.matrix
-
-        n_rows, dim = output_vectors.shape
         if not 0 <= ridge < math.inf:
             raise ArgumentError(f"ridge must be finite and nonnegative, got {ridge}")
-        if ridge == 0.0:
-            if np.linalg.matrix_rank(output_vectors) < dim:
+        dim = output_vectors.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            gram = output_vectors.T @ output_vectors
+            gram.flat[:: dim + 1] += ridge
+        if not np.all(np.isfinite(gram)):
+            raise NumericalError("output matrix is too large to factorize: W W^T overflows")
+        eigenvalues = np.linalg.eigvalsh(gram)
+        if eigenvalues[0] <= dim * np.finfo(np.float64).eps * eigenvalues[-1]:
+            if ridge == 0.0:
                 raise NumericalError(
-                    "output matrix is rank-deficient with ridge 0; "
+                    "output matrix is rank-deficient at working precision with ridge 0; "
                     "pass a positive ridge to regularize the solve"
                 )
-            q, r = np.linalg.qr(output_vectors)
-        else:
-            augmented = np.vstack(
-                [output_vectors, math.sqrt(ridge) * np.eye(dim, dtype=np.float64)]
+            raise NumericalError(
+                f"ridge {ridge!r} is too small to regularize the output matrix; "
+                "pass a larger ridge"
             )
-            q, r = np.linalg.qr(augmented)
-            del augmented
+        inverse = np.linalg.inv(gram)
+        projector = np.empty(output_vectors.shape, dtype=np.float64)
+        for start in range(0, len(projector), _PROJECTION_ROWS):
+            stop = start + _PROJECTION_ROWS
+            np.matmul(output_vectors[start:stop], inverse, out=projector[start:stop])
         self.ridge = ridge
-        # q[:n_rows].T is F-ordered, so the solve overwrites it in place and
-        # the transpose of its result is C-contiguous.
-        self.projector = solve_triangular(r, q[:n_rows].T, lower=False, overwrite_b=True).T
+        self.projector = projector
         self.column_sums = self.projector.sum(axis=0)
 
 
@@ -452,9 +478,9 @@ def right_inverse_solve(
 
     ``output_rows`` stores W transposed, one per-word output vector per row;
     ``targets`` has one row per solved vector and |V| columns.  The result
-    equals T W^T (W W^T + ridge I)^{-1}, computed through a QR-based
-    least-squares solve rather than explicit normal equations.  A
-    rank-deficient W with ridge 0 raises, suggesting a positive ridge.
+    equals T W^T (W W^T + ridge I)^{-1}, computed through the table's cached
+    projector.  A W that is rank-deficient at working precision raises with
+    ridge 0, suggesting a positive ridge; see ``_RidgeFactor``.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2:
@@ -507,4 +533,4 @@ def compute_subword_embeddings(
     vectors += np.outer(constants, factor.column_sums)
     if not np.all(np.isfinite(vectors)):
         raise NumericalError("subword solve produced non-finite vectors")
-    return EmbeddingTable(subwords.tokens, vectors)
+    return EmbeddingTable._owning(subwords.tokens, vectors)

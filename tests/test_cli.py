@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from subseg import (
+    EmbeddingTable,
     beam_segment,
     boundary_prf,
     exact_segment,
@@ -517,6 +518,25 @@ for argv in [
     assert (tmp_path / "out.seg").read_text(encoding="utf-8").replace(" ", "") == "undoingredoingundo\nredodoing\n"
 
 
+def test_solving_stages_never_load_scipy_linalg(pipeline, tmp_path):
+    tables = ["--vocab", str(pipeline["vocab"]), "--counts", str(pipeline["counts"]),
+              "--output-matrix", str(pipeline["outmat"]), "--lexicon", str(pipeline["lex0"])]
+    runs = [
+        ["subword-embed", *tables, "-o", "sub.txt"],
+        ["refine", *tables, "--embeddings", str(pipeline["emb"]), "--max-iters", "2", "-o", "ref.tsv"],
+    ]
+    script = f"""
+import sys
+from subseg.cli import main
+for argv in {runs!r}:
+    code = main(argv)
+    print(argv[0], code, "scipy.sparse" in sys.modules, "scipy.linalg" in sys.modules)
+"""
+    ran = _run_python(["-c", script], b"", tmp_path)
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout.decode().splitlines() == ["subword-embed 0 True False", "refine 0 True False"]
+
+
 def test_public_names_resolve_to_their_defining_modules():
     import subseg
     from subseg import bigram, lexseg, subspace, textio
@@ -685,6 +705,21 @@ def test_numerical_errors_exit_4(pipeline, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_ridge_0_on_a_rank_deficient_output_matrix_exits_4(pipeline, tmp_path, capsys):
+    table = load_embeddings(pipeline["outmat"])
+    vectors = table.vectors.copy()
+    vectors[:, -1] = vectors[:, 0]  # two equal columns: W Wᵀ is singular
+    deficient = tmp_path / "outmat.txt"
+    save_embeddings(EmbeddingTable(table.tokens, vectors), deficient)
+    args = ["subword-embed", "--vocab", str(pipeline["vocab"]), "--counts", str(pipeline["counts"]),
+            "--output-matrix", str(deficient), "--lexicon", str(pipeline["lex0"]),
+            "-o", str(tmp_path / "out.txt")]
+    assert main([*args, "--ridge", "0"]) == 4
+    assert "pass a positive ridge" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+    assert main(args) == 0  # the default ridge regularizes it
+
+
 def test_io_errors_exit_5(tmp_path, capsys):
     code = main(["vocab", str(tmp_path / "missing.txt"), "-o", str(tmp_path / "v.tsv")])
     assert code == 5
@@ -765,3 +800,21 @@ def test_a_decoding_error_names_its_file(pipeline, tmp_path, capsys):
     code = main(["cooc", str(pipeline["corpus"]), "--vocab", str(bad), "-o", str(tmp_path / "counts.tsv")])
     assert code == 5
     assert capsys.readouterr().err.startswith(f"error: {bad}: line ")
+
+
+@pytest.mark.parametrize(
+    "command, corpus, code, problem",
+    [
+        ("vocab", b"ok\nbad \xff\n", 5, "line 2: invalid UTF-8 (invalid start byte)"),
+        ("distill", b"a b\n### c\n", 3, "start symbol '###' may not occur in a segmented corpus"),
+    ],
+)
+def test_corpus_errors_name_their_file(tmp_path, capsys, command, corpus, code, problem):
+    bad = tmp_path / "corpus.txt"
+    bad.write_bytes(corpus)
+    assert main([command, str(bad), "-o", str(tmp_path / "out.txt")]) == code
+    assert capsys.readouterr().err == f"error: {bad}: {problem}\n"
+    assert not (tmp_path / "out.txt").exists()
+    from_stdin = _run_cli([command, "-", "-o", "out.txt"], corpus, tmp_path)
+    assert from_stdin.returncode == code
+    assert from_stdin.stderr.decode() == f"error: <stdin>: {problem}\n"
