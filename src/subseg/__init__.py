@@ -24,6 +24,7 @@ _EXPORTS = {
         "ValidationError",
     ),
     "textio": (
+        "MergeRules",
         "ScoredSegmentation",
         "SegmentedLexicon",
         "SubwordVocabulary",

@@ -128,8 +128,9 @@ def _cmd_init_bpe(args: argparse.Namespace) -> int:
     vocab = _load(textio.load_vocabulary, args.vocab)
     with _naming(args.corpus):
         merges = textio.bpe_train(_input_lines(args.corpus), args.target_size)
+    rules = textio.MergeRules(merges)
     lexicon = textio.SegmentedLexicon(
-        (word, textio.bpe_segment(word, merges)) for word in vocab.tokens
+        (word, textio.bpe_segment(word, rules)) for word in vocab.tokens
     )
     textio.save_lexicon(lexicon, args.lexicon_out)
     if args.merges_out:

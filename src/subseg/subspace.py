@@ -34,16 +34,34 @@ the values a block of rows at a time with one ``np.loadtxt`` call, and a
 block that call cannot read exactly as ``float()`` would, malformed rows
 included, row by row, so a bad row is reported at its line (see
 ``cooccur._parse_block``).
+
+Both directions hold the GIL, so a large table is split into contiguous row
+ranges, one per CPU this process may run on, each of at least
+``_MIN_VALUES_PER_WORKER`` values.  The caller handles the first range and
+a forked worker each other one (``_fork_join``), running the same code.
+Loading a regular file splits it into byte ranges of whole lines; workers
+parse their lines into one shared matrix, and an error travels back to be
+raised in file order.  Saving has each worker format its rows into an
+unnamed temporary file, appended to the output in order.  The table, the
+file's bytes and the errors are those of one process.  FIFOs, small tables,
+platforms without ``fork`` or ``sched_getaffinity`` and processes with other
+Python threads use one process.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import pickle
+import signal
 import stat
-from collections.abc import Iterator, Sequence
+import tempfile
+import threading
+import warnings
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, NoReturn, TypeVar
 
 import numpy as np
 
@@ -54,13 +72,17 @@ from subseg.textio import (
     SegmentedLexicon,
     SubwordVocabulary,
     _check_token,
+    _line_ranges,
     _preview,
+    _read_range,
     atomic_text_writer,
     read_corpus,
 )
 
 if TYPE_CHECKING:
     from scipy import sparse
+
+_T = TypeVar("_T")
 
 
 class EmbeddingTable:
@@ -139,11 +161,166 @@ class EmbeddingTable:
         return f"EmbeddingTable({len(self)} tokens, dim={self.dim})"
 
 
+# Fewest values (rows x dim) a worker process parses or formats.  Forking a
+# worker from an 80 MB process, sending back its result and reaping it took
+# 5 ms on a 2-core x86 VM, against 0.5 us per value parsed and 1.2 us per
+# value formatted, so a worker's range costs at least 6 times its start.
+_MIN_VALUES_PER_WORKER = 1 << 16
+
+
+def _worker_count(values: int) -> int:
+    """Processes to split a table of ``values`` numbers over.
+
+    One per CPU this process may run on, each with at least
+    ``_MIN_VALUES_PER_WORKER`` values.  1 without ``fork`` and
+    ``sched_getaffinity`` (macOS, whose system libraries are not safe to
+    fork, lacks the latter), and in a process running other Python threads,
+    one of which could hold a lock a forked worker would wait on forever.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), values // _MIN_VALUES_PER_WORKER))
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # Python 3.12+ warns on fork while the process has other threads.  With
+        # one Python thread (see _worker_count) those are native threads, such
+        # as a BLAS pool, that no worker calls into.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return os.fork()
+
+
+def _fork_join(task: Callable[[int], _T], count: int) -> list[_T]:
+    """``[task(0), ..., task(count - 1)]``, every task but the first in a forked worker.
+
+    A worker sends back its result, or the exception it raised, pickled
+    through a pipe and ends in ``os._exit``, so it never unwinds into its
+    caller's frames.  The first exception in task order is raised.  Every
+    worker is reaped by its own pid on every path; on an error the workers
+    not yet reaped are killed first.
+    """
+    workers: list[tuple[int, IO[bytes]]] = []  # (pid, read end of its pipe)
+    try:
+        for index in range(1, count):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = _fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_worker(task, index, write_fd)
+            os.close(write_fd)
+            workers.append((pid, open(read_fd, "rb")))
+        results = [task(0)]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            workers.pop(0)
+            if not payload:
+                raise ChildProcessError(
+                    f"worker process {pid} exited with code {os.waitstatus_to_exitcode(status)} "
+                    "before sending its result"
+                )
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_worker(task: Callable[[int], object], index: int, write_fd: int) -> NoReturn:
+    status = 1
+    try:
+        try:
+            message = (True, task(index))
+        except BaseException as exc:
+            # Interrupts included: the caller re-raises what the worker sends.
+            message = (False, exc)
+        try:
+            payload = pickle.dumps(message)
+        except Exception as exc:
+            payload = pickle.dumps((False, ChildProcessError(f"worker result cannot be sent: {exc!r}")))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _write_rows(handle: IO[str], tokens: Sequence[str], vectors: np.ndarray) -> None:
+    for token, row in zip(tokens, vectors):
+        handle.write(f"{token} {' '.join(map(repr, row.tolist()))}\n")
+
+
+def _append_file(target: int, source: int) -> None:
+    """Append all of file descriptor ``source`` at the offset of ``target``."""
+    size = os.fstat(source).st_size
+    offset = 0
+    try:
+        while offset < size:
+            offset += os.sendfile(target, source, offset, size - offset)
+    except OSError:
+        if offset:
+            raise
+        # No sendfile between regular files here; copy through memory.
+        while offset < size:
+            chunk = os.pread(source, min(size - offset, 1 << 20), offset)
+            offset += os.write(target, chunk)
+
+
 def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
+    """Write ``table`` as text, atomically.
+
+    A table of at least two workers' minimum of values is split into row
+    ranges, one per process (see ``_worker_count``).  The caller formats the
+    first range into the file; each forked worker formats its range into an
+    unnamed temporary file beside it, appended in order once all succeed.
+    The bytes are the same whatever the split.
+    """
+    ranges = _split(len(table), _worker_count(table.vectors.size))
+    tokens, vectors = table.tokens, table.vectors
     with atomic_text_writer(path) as handle:
         handle.write(f"{len(table)} {table.dim}\n")
-        for token, row in zip(table.tokens, table.vectors):
-            handle.write(f"{token} {' '.join(map(repr, row.tolist()))}\n")
+        # Nothing buffered may be inherited by a worker.
+        handle.flush()
+        parts = []
+        try:
+            for _ in ranges[1:]:
+                parts.append(tempfile.TemporaryFile(dir=Path(path).parent))
+
+            def write_range(index: int) -> None:
+                start, stop = ranges[index]
+                if index == 0:
+                    _write_rows(handle, tokens[start:stop], vectors[start:stop])
+                    return
+                part = parts[index - 1].fileno()
+                with open(part, "w", encoding="utf-8", newline="\n", closefd=False) as out:
+                    _write_rows(out, tokens[start:stop], vectors[start:stop])
+
+            _fork_join(write_range, len(ranges))
+            handle.flush()
+            for part in parts:
+                _append_file(handle.fileno(), part.fileno())
+        finally:
+            for part in parts:
+                part.close()
+
+
+def _split(count: int, parts: int) -> list[tuple[int, int]]:
+    """Up to ``parts`` contiguous (start, stop) ranges of ``count`` rows, sizes within 1, at least one."""
+    parts = max(1, min(parts, count))
+    bounds = [count * k // parts for k in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _check_value_count(count: int, dim: int, lineno: int) -> None:
@@ -151,7 +328,62 @@ def _check_value_count(count: int, dim: int, lineno: int) -> None:
         raise ParseError(f"expected token plus {dim} values, got {count}", lineno)
 
 
+def _parse_rows(
+    lines: Iterable[str], first_line: int, dim: int, row_count: int, tokens: list[str]
+) -> Iterator[np.ndarray]:
+    """Blocks of the vectors of embedding rows ``lines``, the first at ``first_line``.
+
+    Each row's token is appended to ``tokens`` as the row is read.  Line 2
+    holds row 0, so a line past ``row_count + 1`` is one row too many.
+    """
+
+    # A block np.loadtxt reads into exactly dim columns has no row with a
+    # wrong value count, so the count is checked only where a row is parsed
+    # on its own, and on a line rejected here, whose count error comes first.
+    def row_values() -> Iterator[str]:
+        for lineno, line in enumerate(lines, first_line):
+            token, space, values = line.partition(" ")
+            if not space or lineno - 2 >= row_count:
+                _check_value_count(line.count(" "), dim, lineno)
+                raise ParseError(f"more than the declared {row_count} rows", lineno)
+            tokens.append(token)
+            yield values
+
+    def vector(values: str, lineno: int) -> list[float]:
+        fields = values.split(" ")
+        _check_value_count(len(fields), dim, lineno)
+        try:
+            return [float(v) for v in fields]
+        except ValueError:
+            raise ParseError("non-numeric vector component", lineno) from None
+
+    for first, rows in _row_blocks(row_values(), first_line):
+        yield _parse_block(rows, first, np.float64, " ", dim, vector)
+
+
+def _load_range(
+    path: str | Path, start: int, stop: int, first_line: int, row_count: int, vectors: np.ndarray
+) -> list[str]:
+    """Parse the rows in bytes ``start`` to ``stop`` into their rows of ``vectors``; their tokens."""
+    tokens: list[str] = []
+    row = first_line - 2
+    lines = _read_range(path, start, stop, first_line)
+    for block in _parse_rows(lines, first_line, vectors.shape[1], row_count, tokens):
+        vectors[row : row + len(block)] = block
+        row += len(block)
+    return tokens
+
+
 def load_embeddings(path: str | Path) -> EmbeddingTable:
+    """Read a text embedding table.
+
+    A regular file whose declared table holds at least two workers' minimum
+    of values is split into ranges of whole lines, one per process (see
+    ``_worker_count``).  The caller parses the first range and forked
+    workers the others, each a block at a time into one shared matrix, and
+    the first bad row in file order is reported as one process would.  A
+    FIFO is read by one process, as it arrives.
+    """
     lines = read_corpus(path)
     try:
         header = next(lines)
@@ -180,40 +412,29 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             f"more than the file's {info.st_size} bytes can hold",
             1,
         )
-    tokens: list[str] = []
-
-    # A block np.loadtxt reads into exactly dim columns has no row with a
-    # wrong value count, so the count is checked only where a row is parsed
-    # on its own, and on a line rejected here, whose count error comes first.
-    def row_values() -> Iterator[str]:
-        for lineno, line in enumerate(lines, 2):
-            token, space, values = line.partition(" ")
-            if not space or len(tokens) >= row_count:
-                _check_value_count(line.count(" "), dim, lineno)
-                raise ParseError(f"more than the declared {row_count} rows", lineno)
-            tokens.append(token)
-            yield values
-
-    def vector(values: str, lineno: int) -> list[float]:
-        fields = values.split(" ")
-        _check_value_count(len(fields), dim, lineno)
-        try:
-            return [float(v) for v in fields]
-        except ValueError:
-            raise ParseError("non-numeric vector component", lineno) from None
-
-    vectors = np.empty((0, dim), dtype=np.float64)
-    filled = 0
-    for first, rows in _row_blocks(row_values(), 2):
-        block = _parse_block(rows, first, np.float64, " ", dim, vector)
-        end = filled + len(block)
-        if end > len(vectors):
-            capacity = row_count if regular else min(row_count, max(1024, 2 * filled, end))
-            grown = np.empty((capacity, dim), dtype=np.float64)
-            grown[:filled] = vectors[:filled]
-            vectors = grown
-        vectors[filled:end] = block
-        filled = end
+    workers = _worker_count(row_count * dim) if regular else 1
+    if workers > 1:
+        lines.close()
+        ranges = _line_ranges(path, workers)
+        # Shared with the workers, which write their rows into it in place.
+        vectors = np.frombuffer(mmap.mmap(-1, row_count * dim * 8), dtype=np.float64)
+        vectors = vectors.reshape(row_count, dim)
+        parts = _fork_join(lambda index: _load_range(path, *ranges[index], row_count, vectors), len(ranges))
+        tokens = [token for part in parts for token in part]
+        filled = len(tokens)
+    else:
+        tokens = []
+        vectors = np.empty((0, dim), dtype=np.float64)
+        filled = 0
+        for block in _parse_rows(lines, 2, dim, row_count, tokens):
+            end = filled + len(block)
+            if end > len(vectors):
+                capacity = row_count if regular else min(row_count, max(1024, 2 * filled, end))
+                grown = np.empty((capacity, dim), dtype=np.float64)
+                grown[:filled] = vectors[:filled]
+                vectors = grown
+            vectors[filled:end] = block
+            filled = end
     if filled != row_count:
         raise ParseError(f"header declared {row_count} rows but found {filled}", 1)
     with rows_from_line(2):

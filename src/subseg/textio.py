@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import io
+import math
 import os
 import tempfile
 from collections import Counter, defaultdict
@@ -91,11 +92,16 @@ def atomic_text_writer(path: str | Path) -> Iterator[IO[str]]:
         raise
 
 
+# Bytes read from a corpus and decoded at a time.
+_READ_BLOCK = 1 << 16
+
+
 def read_corpus(source: str | Path | IO[str] | IO[bytes] | Iterable[str]) -> Iterator[str]:
     """Yield corpus lines without trailing newlines.
 
     ``source`` may be a path, a binary stream, or an open text stream.  Paths
-    and binary streams are decoded strictly as UTF-8 line by line so that a
+    and binary streams are decoded strictly as UTF-8, a block of lines at a
+    time; a block that does not decode is decoded again line by line, so a
     bad byte sequence is reported with its line number instead of surfacing
     as a bare UnicodeDecodeError.
     """
@@ -109,13 +115,96 @@ def read_corpus(source: str | Path | IO[str] | IO[bytes] | Iterable[str]) -> Ite
             yield line.rstrip("\r\n")
 
 
-def _decode_lines(handle: IO[bytes]) -> Iterator[str]:
-    for lineno, raw in enumerate(handle, 1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusIOError(f"line {lineno}: invalid UTF-8 ({exc.reason})") from exc
-        yield line.rstrip("\r\n")
+def _decode_lines(handle: IO[bytes], lineno: int = 1, size: int | None = None) -> Iterator[str]:
+    """Lines of ``handle``'s next ``size`` bytes, or of all it holds, numbered from ``lineno``.
+
+    Lines end at ``\n`` alone, and trailing ``\r`` and ``\n`` are stripped.
+    Bytes are read a block at a time (one read each, so a pipe's lines come
+    as they arrive) and decoded up to the block's last newline at once.
+    """
+    read = getattr(handle, "read1", handle.read)
+    left = math.inf if size is None else size
+    pending: list[bytes] = []
+    while left > 0 and (chunk := read(min(left, _READ_BLOCK))):
+        left -= len(chunk)
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        block = b"".join(pending)
+        pending = [chunk[cut:]]
+        yield from _decode_block(block, lineno)
+        lineno += block.count(b"\n")
+    rest = b"".join(pending)
+    if rest:
+        yield from _decode_block(rest, lineno)
+
+
+def _decode_block(block: bytes, lineno: int) -> Iterator[str]:
+    """The lines of ``block``, numbered from ``lineno``; a final newline ends the last one."""
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError:
+        # Only a line holding a bad sequence fails, since "\n" is never part
+        # of a multi-byte one; decoding line by line names it.
+        for lineno, raw in enumerate(io.BytesIO(block), lineno):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusIOError(f"line {lineno}: invalid UTF-8 ({exc.reason})") from exc
+            yield line.rstrip("\r\n")
+        return
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    yield from lines
+
+
+def _read_range(path: str | Path, start: int, stop: int, first_line: int) -> Iterator[str]:
+    """``read_corpus(path)``'s lines held in bytes ``start`` to ``stop``, numbered from ``first_line``.
+
+    ``start`` must begin a line, and ``first_line`` must be its number.
+    """
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        yield from _decode_lines(handle, first_line, stop - start)
+
+
+def _line_ranges(path: str | Path, parts: int) -> list[tuple[int, int, int]]:
+    """Split the lines after the first of a regular file into up to ``parts`` ranges.
+
+    Returns (start byte, stop byte, number of the first line) for each
+    nonempty range, in file order.  Range k begins at the first line that
+    starts at or after byte k * size / parts, so ranges of similar lines hold
+    similar counts.  Lines are counted up to the last range's start.
+    """
+    size = os.stat(path).st_size
+    targets = [1, *(size * k // parts for k in range(1, parts))]
+    starts: list[tuple[int, int]] = []
+    offset, lineno = 0, 1
+    with open(path, "rb", buffering=0) as handle:
+        while len(starts) < len(targets) and (chunk := handle.read(_READ_BLOCK)):
+            counted = 0
+            while len(starts) < len(targets):
+                # A line starts at byte p when p - 1 holds a newline.
+                cut = chunk.find(b"\n", max(targets[len(starts)] - 1 - offset, counted))
+                if cut < 0:
+                    break
+                lineno += chunk.count(b"\n", counted, cut + 1)
+                counted = cut + 1
+                starts.append((offset + counted, lineno))
+            lineno += chunk.count(b"\n", counted)
+            offset += len(chunk)
+    starts += [(offset, lineno)] * (len(targets) - len(starts))
+    bounds = [*(start for start, _ in starts), size]
+    return [
+        (start, stop, first)
+        for (start, first), stop in zip(starts, bounds[1:])
+        if start < stop
+    ]
 
 
 class Vocabulary:
@@ -482,24 +571,41 @@ def bpe_train(
     return merges
 
 
-# A copy of the last merge list bpe_segment saw, with its rank table.
-_merge_ranks_memo: tuple[list[MergePair], dict[MergePair, list[int]]] = ([], {})
+class MergeRules:
+    """A merge list in rank order, with the table of each pair's ranks built once.
+
+    Segmenting many words against one list (as ``init-bpe`` does) builds
+    the table once; see :func:`bpe_segment`.
+    """
+
+    __slots__ = ("_rules", "_ranks")
+
+    def __init__(self, merges: Iterable[MergePair]):
+        self._rules = tuple(merges)
+        ranks: dict[MergePair, list[int]] = {}
+        for rank, pair in enumerate(self._rules):
+            ranks.setdefault(pair, []).append(rank)
+        self._ranks = ranks
+
+    def segment(self, word: str) -> list[str]:
+        _check_token(word, "word")
+        rules, ranks = self._rules, self._ranks
+        symbols = tuple(word)
+        last = -1
+        while len(symbols) > 1:
+            next_rank = len(rules)
+            for pair in zip(symbols, symbols[1:]):
+                pair_ranks = ranks.get(pair)
+                if pair_ranks is not None and pair_ranks[-1] > last:
+                    next_rank = min(next_rank, pair_ranks[bisect.bisect_right(pair_ranks, last)])
+            if next_rank == len(rules):
+                break
+            symbols = _apply_merge(symbols, rules[next_rank])
+            last = next_rank
+        return list(symbols)
 
 
-def _merge_ranks(merges: list[MergePair]) -> dict[MergePair, list[int]]:
-    """Map each pair of ``merges`` to its ranks, ascending; reused while the list is unchanged."""
-    global _merge_ranks_memo
-    memo = _merge_ranks_memo
-    if merges == memo[0]:  # an unchanged list compares its entries by identity
-        return memo[1]
-    ranks: dict[MergePair, list[int]] = {}
-    for rank, pair in enumerate(merges):
-        ranks.setdefault(pair, []).append(rank)
-    _merge_ranks_memo = (list(merges), ranks)
-    return ranks
-
-
-def bpe_segment(word: str, merges: Sequence[MergePair]) -> list[str]:
+def bpe_segment(word: str, merges: Sequence[MergePair] | MergeRules) -> list[str]:
     """Split ``word`` into characters and apply merges in list order.
 
     Each rule is applied leftmost-first across the symbol sequence before
@@ -512,23 +618,12 @@ def bpe_segment(word: str, merges: Sequence[MergePair]) -> list[str]:
     semantics exactly, duplicate rules included: a rule is never revisited
     once a later one has applied, so ``abc`` under ``[(a, bc), (b, c)]``
     stays ``a bc``, where merging by best rank would give ``abc``.
+
+    A plain list is read afresh on every call, at a cost linear in its
+    length; pass a :class:`MergeRules` built once to segment many words.
     """
-    _check_token(word, "word")
-    rules = merges if isinstance(merges, list) else list(merges)
-    ranks = _merge_ranks(rules)
-    symbols = tuple(word)
-    last = -1
-    while len(symbols) > 1:
-        next_rank = len(rules)
-        for pair in zip(symbols, symbols[1:]):
-            pair_ranks = ranks.get(pair)
-            if pair_ranks is not None and pair_ranks[-1] > last:
-                next_rank = min(next_rank, pair_ranks[bisect.bisect_right(pair_ranks, last)])
-        if next_rank == len(rules):
-            break
-        symbols = _apply_merge(symbols, rules[next_rank])
-        last = next_rank
-    return list(symbols)
+    rules = merges if isinstance(merges, MergeRules) else MergeRules(merges)
+    return rules.segment(word)
 
 
 def save_merges(merges: Sequence[MergePair], path: str | Path) -> None:

@@ -1,4 +1,8 @@
-"""Per-line loaders for counts, lexicon and embedding files.
+"""Per-line readers of corpus, counts, lexicon and embedding files.
+
+``read_corpus`` once decoded a binary source one line at a time; it now
+decodes a block of lines at a time and falls back to single lines only to
+name a bad one.
 
 ``load_counts`` and ``load_lexicon`` once validated each row themselves,
 before handing the table to its type; they now only parse, and the table
@@ -19,10 +23,20 @@ from pathlib import Path
 
 import numpy as np
 
-from subseg import CooccurrenceCounts, EmbeddingTable, ParseError, SegmentedLexicon, read_corpus
+from subseg import CooccurrenceCounts, CorpusIOError, EmbeddingTable, ParseError, SegmentedLexicon, read_corpus
 from subseg.errors import rows_from_line
 
 _HEADER_RE = re.compile(r"^#COOC v1 \|V\|=(\d+) window=(\d+)$")
+
+
+def decode_lines(handle):
+    """The lines of a binary stream, decoded one at a time, without trailing newlines."""
+    for lineno, raw in enumerate(handle, 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusIOError(f"line {lineno}: invalid UTF-8 ({exc.reason})") from exc
+        yield line.rstrip("\r\n")
 
 
 def load_counts(path: str | Path) -> CooccurrenceCounts:

@@ -818,3 +818,48 @@ def test_corpus_errors_name_their_file(tmp_path, capsys, command, corpus, code, 
     from_stdin = _run_cli([command, "-", "-o", "out.txt"], corpus, tmp_path)
     assert from_stdin.returncode == code
     assert from_stdin.stderr.decode() == f"error: <stdin>: {problem}\n"
+
+
+def test_solving_stages_write_the_same_bytes_on_one_cpu_or_all(tmp_path):
+    # Tables large enough that loading and saving split over every CPU the
+    # process may use; pinned to one CPU, the same stages use one process.
+    # BLAS sums in an order that follows its thread count, which follows the
+    # CPUs too, so both runs fix it at one thread.
+    from subseg import SegmentedLexicon, build_vocabulary, count_cooccurrences, save_counts, save_vocabulary
+    from subseg.subspace import _MIN_VALUES_PER_WORKER
+
+    lines, _ = agglutinative_corpus(40, 15)
+    vocab = build_vocabulary(lines, max_size=5000)
+    counts = count_cooccurrences(lines, vocab, window=5)
+    embeddings, output_rows = consistent_embeddings(counts, vocab.tokens, dim=240, seed=3)
+    save_vocabulary(vocab, tmp_path / "vocab.tsv")
+    save_counts(counts, tmp_path / "counts.tsv")
+    save_embeddings(embeddings, tmp_path / "E.txt")
+    save_embeddings(output_rows, tmp_path / "W.txt")
+    save_lexicon(SegmentedLexicon({word: [word] for word in vocab.tokens}), tmp_path / "whole.lex")
+    tables = ["--vocab", "vocab.tsv", "--counts", "counts.tsv", "--output-matrix", "W.txt"]
+    runs = {
+        "sub.txt": ["subword-embed", *tables, "--substr-max-len", "4", "-o", "sub.txt"],
+        "ref_emb.txt": ["refine", *tables, "--embeddings", "E.txt", "--lexicon", "whole.lex",
+                        "--max-iters", "1", "-o", "ref.lex", "--subword-embeddings-out", "ref_emb.txt"],
+    }
+    first_cpu = min(os.sched_getaffinity(0))
+    outputs = {}
+    for pinned in (True, False):
+        for output, args in runs.items():
+            ran = subprocess.run(
+                [sys.executable, "-m", "subseg.cli", *args],
+                capture_output=True,
+                cwd=tmp_path,
+                env=dict(os.environ, PYTHONPATH=str(Path(__import__("subseg").__file__).resolve().parents[1]),
+                         OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1"),
+                preexec_fn=(lambda: os.sched_setaffinity(0, {first_cpu})) if pinned else None,
+                timeout=120,
+            )
+            assert ran.returncode == 0, ran.stderr
+            for name in (output, "ref.lex") if output == "ref_emb.txt" else (output,):
+                outputs.setdefault(name, set()).add((tmp_path / name).read_bytes())
+    assert all(len(versions) == 1 for versions in outputs.values())
+    for name in ("W.txt", "E.txt", "sub.txt", "ref_emb.txt"):
+        table = load_embeddings(tmp_path / name)
+        assert table.vectors.size >= 2 * _MIN_VALUES_PER_WORKER, name

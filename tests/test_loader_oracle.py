@@ -6,11 +6,12 @@ nonpositive triple, a duplicate, two rows out of order, an int64 overflow,
 or a field that ``int()`` reads and ``np.loadtxt`` does not, at a random
 line.  Generated embedding files mix valid values with ones the two parsers
 treat differently, spaces out of place, a ``\r`` inside a line and a wrong
-row count, and are read from a regular file or a FIFO.  The loaders must
-return an equal table or raise the same error type at the same line as
-``reference_loaders`` (for embeddings, with the same message), and every
-error must be a ParseError.  The parse block size is drawn small, so that a
-file spans several blocks.
+row count, and are read from a regular file or a FIFO; a regular file is
+split over up to four forked workers, which tables this small never are
+otherwise.  The loaders must return an equal table or raise the same error
+type at the same line as ``reference_loaders`` (for embeddings, with the
+same message), and every error must be a ParseError.  The parse and read
+block sizes are drawn small, so that a file spans several blocks.
 """
 
 import io
@@ -26,6 +27,7 @@ from reference_loaders import load_counts as reference_load_counts
 from reference_loaders import load_embeddings as reference_load_embeddings
 from reference_loaders import load_lexicon as reference_load_lexicon
 from subseg import ParseError, ValidationError, cooccur, load_counts, load_embeddings, load_lexicon
+from subseg import subspace, textio
 
 _SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 _INT64_MAX = 2**63 - 1
@@ -213,11 +215,20 @@ def _embedding_outcome(load, path, text, fifo):
 
 
 @_SETTINGS
-@given(_embedding_files(), st.integers(1, 60), st.booleans())
-def test_load_embeddings_matches_per_line_reference(tmp_path_factory, text, block_chars, fifo):
+@given(_embedding_files(), st.integers(1, 60), st.booleans(), st.integers(1, 4), st.integers(1, 2))
+def test_load_embeddings_matches_per_line_reference(
+    tmp_path_factory, text, block_chars, fifo, cpus, min_values
+):
     path = tmp_path_factory.getbasetemp() / "oracle-embeddings.txt"
     expected = _embedding_outcome(reference_load_embeddings, path, text, fifo)
-    with mock.patch.object(cooccur, "_PARSE_BLOCK_CHARS", block_chars):
+    # With up to 4 CPUs and a worker minimum of a few values, a regular file
+    # is split into ranges of a line or more, read by forked workers.
+    with (
+        mock.patch.object(cooccur, "_PARSE_BLOCK_CHARS", block_chars),
+        mock.patch.object(textio, "_READ_BLOCK", block_chars),
+        mock.patch.object(subspace, "_MIN_VALUES_PER_WORKER", min_values),
+        mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))),
+    ):
         outcome = _embedding_outcome(load_embeddings, path, text, fifo)
     assert outcome == expected
     if isinstance(outcome[0], type):

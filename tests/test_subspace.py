@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import threading
@@ -24,7 +25,7 @@ from subseg import (
     save_embeddings,
     smoothed_log_target,
 )
-from subseg import cooccur
+from subseg import cooccur, subspace
 from subseg.subspace import _RidgeFactor
 
 
@@ -235,6 +236,138 @@ def test_load_embeddings_from_a_pipe_grows_its_buffer(tmp_path):
     # A pipe's size is unknown up front; an overstated count fails at the end.
     with pytest.raises(ValidationError, match="declared 100000000000 rows but found 1"):
         load_through_fifo("100000000000 3\na 1.0 2.0 3.0\n")
+
+
+@pytest.fixture
+def split_over(monkeypatch):
+    """``split_over(cpus)`` splits embedding I/O over up to ``cpus`` processes, whatever
+    the table size; it returns the pids of the workers forked from then on."""
+    forked = []
+    fork = subspace._fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def split(cpus):
+        monkeypatch.setattr(subspace, "_MIN_VALUES_PER_WORKER", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(subspace, "_fork", recording_fork)
+        return forked
+
+    return split
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 57])
+def test_saving_over_several_processes_writes_the_same_bytes(tmp_path, split_over, rows):
+    rng = np.random.default_rng(rows)
+    table = _random_table(rng, [f"w{i}" for i in range(rows)], 3)
+    save_embeddings(table, tmp_path / "one.txt")
+    expected = (tmp_path / "one.txt").read_bytes()
+    forked = split_over(4)
+    for cpus in (1, 2, 3, 4):
+        split_over(cpus)
+        save_embeddings(table, tmp_path / f"split{cpus}.txt")
+        assert (tmp_path / f"split{cpus}.txt").read_bytes() == expected
+    assert len(forked) == (0 if rows < 2 else 1 + min(rows, 3) - 1 + min(rows, 4) - 1)
+    assert load_embeddings(tmp_path / "split4.txt") == table
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.txt", *(f"split{c}.txt" for c in (1, 2, 3, 4))]
+    _assert_reaped(forked)
+
+
+def test_loading_over_several_processes_names_a_bad_row_in_any_range(tmp_path, split_over):
+    rng = np.random.default_rng(5)
+    table = _random_table(rng, [f"w{i}" for i in range(30)], 2)
+    path = tmp_path / "emb.txt"
+    save_embeddings(table, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    forked = split_over(3)
+    assert load_embeddings(path) == table
+    for line in (2, 12, 22, 31):  # one bad row in the first, middle and last range
+        path.write_text("".join(lines[: line - 1] + ["bad 1.0 x\n"] + lines[line:]), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {line}: non-numeric vector component"):
+            load_embeddings(path)
+    path.write_text("".join(lines + ["extra 1.0 2.0\n"]), encoding="utf-8")
+    with pytest.raises(ParseError, match="line 32: more than the declared 30 rows"):
+        load_embeddings(path)
+    assert len(forked) == 6 * 2
+    _assert_reaped(forked)
+
+
+def test_a_failing_worker_leaves_no_file_part_or_child(tmp_path, split_over, monkeypatch):
+    rng = np.random.default_rng(6)
+    table = _random_table(rng, [f"w{i}" for i in range(20)], 4)
+    parent = os.getpid()
+    write_rows = subspace._write_rows
+
+    def full_disk_in_workers(handle, tokens, vectors):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_rows(handle, tokens, vectors)
+
+    def dying_worker(handle, tokens, vectors):
+        if os.getpid() != parent:
+            os._exit(3)
+        write_rows(handle, tokens, vectors)
+
+    forked = split_over(3)
+    monkeypatch.setattr(subspace, "_write_rows", full_disk_in_workers)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_embeddings(table, tmp_path / "emb.txt")
+    monkeypatch.setattr(subspace, "_write_rows", dying_worker)
+    with pytest.raises(ChildProcessError, match="before sending its result"):
+        save_embeddings(table, tmp_path / "emb.txt")
+    assert list(tmp_path.iterdir()) == []
+    assert len(forked) == 4
+    _assert_reaped(forked)
+
+
+def test_a_callers_finally_runs_once_when_a_worker_raises(tmp_path, split_over, monkeypatch):
+    rng = np.random.default_rng(7)
+    table = _random_table(rng, [f"w{i}" for i in range(20)], 4)
+    parent = os.getpid()
+    write_rows = subspace._write_rows
+
+    def failing_in_workers(handle, tokens, vectors):
+        if os.getpid() != parent:
+            raise RuntimeError("worker failed")
+        write_rows(handle, tokens, vectors)
+
+    split_over(2)
+    monkeypatch.setattr(subspace, "_write_rows", failing_in_workers)
+    log = tmp_path / "finally.log"
+    with pytest.raises(RuntimeError, match="worker failed"):
+        try:
+            save_embeddings(table, tmp_path / "emb.txt")
+        finally:
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+    assert log.read_text(encoding="utf-8").split() == [str(parent)]
+
+
+def test_small_tables_and_threaded_callers_use_one_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    minimum = subspace._MIN_VALUES_PER_WORKER
+    assert subspace._worker_count(2 * minimum - 1) == 1
+    assert subspace._worker_count(2 * minimum) == 2
+    assert subspace._worker_count(100 * minimum) == 8
+    started, release = threading.Event(), threading.Event()
+    other = threading.Thread(target=lambda: (started.set(), release.wait(30)))
+    other.start()
+    try:
+        started.wait(30)
+        assert subspace._worker_count(100 * minimum) == 1
+    finally:
+        release.set()
+        other.join(30)
 
 
 def test_align_embeddings_reorders_and_reports_missing():

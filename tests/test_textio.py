@@ -2,6 +2,7 @@ import io
 import os
 import random
 import stat
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ from subseg import (
 from subseg import textio
 from subseg.textio import atomic_text_writer
 
+import reference_loaders
+
 # Deterministic example sequences that leave no example database behind.
 _ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -50,6 +53,68 @@ def test_read_corpus_reports_invalid_utf8_with_line_number(tmp_path):
     path.write_bytes(b"ok line\nbad \xff\xfe line\n")
     with pytest.raises(CorpusIOError, match=r"line 2: invalid UTF-8"):
         list(read_corpus(path))
+
+
+def _lines_or_error(lines):
+    """The lines an iterator yields, then the type and message of the error that ends it."""
+    seen = []
+    try:
+        seen.extend(lines)
+    except CorpusIOError as exc:
+        seen.append((type(exc), str(exc)))
+    return seen
+
+
+# Bytes that make lines, line ends, valid UTF-8 and every way of breaking it.
+_CORPUS_BYTES = st.lists(
+    st.sampled_from(
+        (b"a", b" ", b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xc3", b"\xa9", b"\xff", b"\xe2\x82",
+         b"\xed\xa0\x80", b"\xf0\x9f\x98\x80")
+    ),
+    max_size=40,
+).map(b"".join)
+
+
+@_ORACLE_SETTINGS
+@given(data=_CORPUS_BYTES, block=st.integers(1, 16))
+def test_read_corpus_decodes_blocks_as_the_per_line_reader(tmp_path_factory, data, block):
+    path = tmp_path_factory.getbasetemp() / "blocks.txt"
+    path.write_bytes(data)
+    expected = _lines_or_error(reference_loaders.decode_lines(io.BytesIO(data)))
+    with mock.patch.object(textio, "_READ_BLOCK", block):
+        assert _lines_or_error(read_corpus(io.BytesIO(data))) == expected
+        assert _lines_or_error(read_corpus(path)) == expected
+
+
+@_ORACLE_SETTINGS
+@given(data=_CORPUS_BYTES, parts=st.integers(1, 5), block=st.integers(1, 16))
+def test_line_ranges_read_back_every_line_after_the_first(tmp_path_factory, data, parts, block):
+    path = tmp_path_factory.getbasetemp() / "ranges.txt"
+    data = b"header\n" + data
+    path.write_bytes(data)
+    expected = _lines_or_error(reference_loaders.decode_lines(io.BytesIO(data)))[1:]
+    with mock.patch.object(textio, "_READ_BLOCK", block):
+        ranges = textio._line_ranges(path, parts)
+        seen = []
+        for start, stop, first_line in ranges:
+            seen += _lines_or_error(textio._read_range(path, start, stop, first_line))
+            if seen and isinstance(seen[-1], tuple):
+                break
+    assert seen == expected
+    assert 0 <= len(ranges) <= parts
+    bounds = [len(b"header\n"), *(stop for _, stop, _ in ranges)]
+    assert [start for start, _, _ in ranges] == bounds[:-1]
+    assert bounds[-1] == len(data)
+
+
+def test_read_corpus_yields_a_pipe_line_as_it_arrives():
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as reader, open(write_fd, "wb", buffering=0) as writer:
+        lines = read_corpus(reader)
+        writer.write(b"first\nsecond")
+        assert next(lines) == "first"
+        writer.write(b" half\n")
+        assert next(lines) == "second half"
 
 
 def test_missing_corpus_file_raises_oserror(tmp_path):
