@@ -48,15 +48,18 @@ _EXPORTS = {
     ),
     "subspace": (
         "EmbeddingTable",
+        "PendingEmbeddings",
         "SegmentationMatrix",
         "align_embeddings",
         "build_segmentation_matrix",
         "compute_subword_embeddings",
         "default_ridge",
+        "join_embeddings",
         "load_embeddings",
         "right_inverse_solve",
         "save_embeddings",
         "smoothed_log_target",
+        "start_loading_embeddings",
     ),
     "lexseg": (
         "IterationStats",

@@ -138,10 +138,28 @@ def _cmd_init_bpe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_aligned(path: str, vocab: textio.Vocabulary) -> subspace.EmbeddingTable:
+def _join_aligned(
+    pending: subspace.PendingEmbeddings, path: str, vocab: textio.Vocabulary
+) -> subspace.EmbeddingTable:
+    """The table ``pending`` loads from ``path``, in ``vocab``'s order."""
     from subseg import subspace
 
-    return _load(lambda p: subspace.align_embeddings(subspace.load_embeddings(p), vocab.tokens), path)
+    return _load(lambda p: subspace.align_embeddings(subspace.join_embeddings(pending), vocab.tokens), path)
+
+
+@contextmanager
+def _reported_after(*joins: Callable[[], object]) -> Iterator[None]:
+    """Raise an error of the block only once ``joins`` are called, and theirs first.
+
+    A stage joins its embedding tables after the block but names them ahead
+    of the block's inputs, so an error in a table is the one reported.
+    """
+    try:
+        yield
+    except Exception:
+        for join in joins:
+            join()
+        raise
 
 
 def _load_word_tables(
@@ -158,18 +176,29 @@ def _load_word_tables(
     return vocab, counts
 
 
+# The embedding stages start loading their embedding tables first, so that
+# forked workers parse them while this process reads the other inputs and
+# then builds the counts CSR, which imports scipy.  The import comes last:
+# ahead of the other inputs' parsing, it left about 1 MB more resident at
+# the stage's peak.  Each table is joined where it is first needed.
+
+
 def _cmd_subword_embed(args: argparse.Namespace) -> int:
     from subseg import subspace
 
-    vocab, counts = _load_word_tables(args)
-    output_rows = _load_aligned(args.output_matrix, vocab)
-    if args.lexicon:
-        lexicon = _load(textio.load_lexicon, args.lexicon)
-        subwords, matrix = subspace.build_segmentation_matrix(vocab.tokens, lexicon=lexicon)
-    else:
-        subwords, matrix = subspace.build_segmentation_matrix(
-            vocab.tokens, max_substring_len=args.substr_max_len
-        )
+    with subspace.start_loading_embeddings(args.output_matrix) as pending:
+        vocab, counts = _load_word_tables(args)
+        join = functools.partial(_join_aligned, pending, args.output_matrix, vocab)
+        with _reported_after(join):
+            if args.lexicon:
+                lexicon = _load(textio.load_lexicon, args.lexicon)
+                subwords, matrix = subspace.build_segmentation_matrix(vocab.tokens, lexicon=lexicon)
+            else:
+                subwords, matrix = subspace.build_segmentation_matrix(
+                    vocab.tokens, max_substring_len=args.substr_max_len
+                )
+            counts.matrix()
+        output_rows = join()
     table = subspace.compute_subword_embeddings(
         subwords,
         matrix,
@@ -185,10 +214,18 @@ def _cmd_subword_embed(args: argparse.Namespace) -> int:
 def _cmd_refine(args: argparse.Namespace) -> int:
     from subseg import lexseg, subspace
 
-    vocab, counts = _load_word_tables(args)
-    word_embeddings = _load_aligned(args.embeddings, vocab)
-    output_rows = _load_aligned(args.output_matrix, vocab)
-    lexicon0 = _load(textio.load_lexicon, args.lexicon)
+    with (
+        subspace.start_loading_embeddings(args.embeddings) as pending_e,
+        subspace.start_loading_embeddings(args.output_matrix) as pending_w,
+    ):
+        vocab, counts = _load_word_tables(args)
+        join_e = functools.partial(_join_aligned, pending_e, args.embeddings, vocab)
+        join_w = functools.partial(_join_aligned, pending_w, args.output_matrix, vocab)
+        with _reported_after(join_e, join_w):
+            lexicon0 = _load(textio.load_lexicon, args.lexicon)
+            counts.matrix()
+        word_embeddings = join_e()
+        output_rows = join_w()
 
     def report(stats: lexseg.IterationStats) -> None:
         print(

@@ -122,34 +122,35 @@ class CooccurrenceCounts:
             and np.array_equal(self.counts, other.counts)
         )
 
-    def count(self, first: int, second: int) -> int:
-        i, j = sorted((first, second))
-        hit = (self.counts[:, 0] == i) & (self.counts[:, 1] == j)
-        return int(self.counts[hit, 2].sum())
-
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """Canonical triples (id1, id2, count) sorted by (id1, id2)."""
         for start in range(0, len(self.counts), _PAIR_CHUNK):
             yield from map(tuple, self.counts[start:start + _PAIR_CHUNK].tolist())
 
-    def row_sum(self, word_id: int) -> int:
-        hit = (self.counts[:, 0] == word_id) | (self.counts[:, 1] == word_id)
-        return int(self.counts[hit, 2].sum())
-
     def matrix(self) -> sparse.csr_matrix:
-        """Full symmetric matrix as float64 CSR."""
-        # scipy is imported here, not at module level, so stages that never
-        # pool or solve do not pay for loading it.
-        from scipy import sparse
+        """Full symmetric matrix as float64 CSR.
 
-        i, j, value = self.counts.T
-        off = i != j
-        rows = np.concatenate([i, j[off]])
-        cols = np.concatenate([j, i[off]])
-        data = np.concatenate([value, value[off]])
-        return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self.vocab_size, self.vocab_size), dtype=np.float64
-        )
+        Built on the first call and kept on the table, with its arrays
+        read-only: every pooling against this table shares the one copy.
+        """
+        csr = self.__dict__.get("_csr")
+        if csr is None:
+            # scipy is imported here, not at module level, so stages that
+            # never pool or solve do not pay for loading it.
+            from scipy import sparse
+
+            i, j, value = self.counts.T
+            off = i != j
+            rows = np.concatenate([i, j[off]])
+            cols = np.concatenate([j, i[off]])
+            data = np.concatenate([value, value[off]])
+            csr = sparse.csr_matrix(
+                (data, (rows, cols)), shape=(self.vocab_size, self.vocab_size), dtype=np.float64
+            )
+            for array in (csr.data, csr.indices, csr.indptr):
+                array.flags.writeable = False
+            object.__setattr__(self, "_csr", csr)
+        return csr
 
 
 def _merge_block(
@@ -196,7 +197,7 @@ def count_cooccurrences(
     totals = np.zeros(0, dtype=np.int64)
     block: list[int] = []
     for line in lines:
-        block += [-1 if word_id is None else word_id for word_id in map(vocab.get, line.split())]
+        block += vocab.ids(line.split())
         block += gap
         if len(block) >= _BLOCK_TOKENS:
             keys, totals = _merge_block(keys, totals, np.array(block, dtype=np.int64), size, window)

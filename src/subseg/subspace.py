@@ -37,15 +37,17 @@ included, row by row, so a bad row is reported at its line (see
 
 Both directions hold the GIL, so a large table is split into contiguous row
 ranges, one per CPU this process may run on, each of at least
-``_MIN_VALUES_PER_WORKER`` values.  The caller handles the first range and
-a forked worker each other one (``_fork_join``), running the same code.
-Loading a regular file splits it into byte ranges of whole lines; workers
-parse their lines into one shared matrix, and an error travels back to be
-raised in file order.  Saving has each worker format its rows into an
-unnamed temporary file, appended to the output in order.  The table, the
-file's bytes and the errors are those of one process.  FIFOs, small tables,
-platforms without ``fork`` or ``sched_getaffinity`` and processes with other
-Python threads use one process.
+``_MIN_VALUES_PER_WORKER`` values, and forked workers (``_Workers``) run
+the same code on them.  Loading a regular file splits it into byte ranges
+of whole lines, and a worker per range parses its lines into one shared
+matrix from the moment loading starts; the caller goes on with other work
+until it joins the table (``start_loading_embeddings``), and an error
+travels back to be raised in file order.  Saving has the caller format the
+first range into the output and each worker its own range into an unnamed
+temporary file, appended in order.  The table, the file's bytes and the
+errors are those of one process.  FIFOs, small tables, platforms without
+``fork`` or ``sched_getaffinity`` and processes with other Python threads
+use one process, which reads a table when it is joined.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ import tempfile
 import threading
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import closing
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, NoReturn, TypeVar
 
@@ -191,51 +194,77 @@ def _fork() -> int:
         return os.fork()
 
 
-def _fork_join(task: Callable[[int], _T], count: int) -> list[_T]:
-    """``[task(0), ..., task(count - 1)]``, every task but the first in a forked worker.
+class _Workers:
+    """Forked workers, one per index, each running ``task(index)``.
 
     A worker sends back its result, or the exception it raised, pickled
     through a pipe and ends in ``os._exit``, so it never unwinds into its
-    caller's frames.  The first exception in task order is raised.  Every
-    worker is reaped by its own pid on every path; on an error the workers
-    not yet reaped are killed first.
+    caller's frames.  Every worker is reaped by its own pid on every path:
+    by ``join``, or killed first by ``kill``.
     """
-    workers: list[tuple[int, IO[bytes]]] = []  # (pid, read end of its pipe)
-    try:
-        for index in range(1, count):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = _fork()
-            except BaseException:
-                os.close(read_fd)
+
+    def __init__(self, task: Callable[[int], object], indices: Iterable[int]):
+        self._running: list[tuple[int, IO[bytes]]] = []  # (pid, read end of its pipe)
+        try:
+            for index in indices:
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = _fork()
+                except BaseException:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:
+                    _run_worker(task, index, write_fd)
                 os.close(write_fd)
-                raise
-            if pid == 0:
-                _run_worker(task, index, write_fd)
-            os.close(write_fd)
-            workers.append((pid, open(read_fd, "rb")))
-        results = [task(0)]
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            workers.pop(0)
-            if not payload:
-                raise ChildProcessError(
-                    f"worker process {pid} exited with code {os.waitstatus_to_exitcode(status)} "
-                    "before sending its result"
-                )
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pid, pipe in workers:
+                self._running.append((pid, open(read_fd, "rb")))
+        except BaseException:
+            self.kill()
+            raise
+
+    def join(self) -> list:
+        """The results in index order; the first exception in that order is raised."""
+        results = []
+        try:
+            while self._running:
+                pid, pipe = self._running[0]
+                with pipe:
+                    payload = pipe.read()
+                _, status = os.waitpid(pid, 0)
+                self._running.pop(0)
+                if not payload:
+                    raise ChildProcessError(
+                        f"worker process {pid} exited with code {os.waitstatus_to_exitcode(status)} "
+                        "before sending its result"
+                    )
+                ok, value = pickle.loads(payload)
+                if not ok:
+                    raise value
+                results.append(value)
+            return results
+        finally:
+            self.kill()
+
+    def kill(self) -> None:
+        """Kill and reap every worker not yet joined."""
+        while self._running:
+            pid, pipe = self._running.pop()
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _fork_join(task: Callable[[int], _T], count: int) -> list[_T]:
+    """``[task(0), ..., task(count - 1)]``, every task but the first in a forked worker.
+
+    The first exception in task order is raised; on an error the workers
+    not yet reaped are killed.
+    """
+    workers = _Workers(task, range(1, count))
+    try:
+        return [task(0), *workers.join()]
+    finally:
+        workers.kill()
 
 
 def _run_worker(task: Callable[[int], object], index: int, write_fd: int) -> NoReturn:
@@ -374,17 +403,12 @@ def _load_range(
     return tokens
 
 
-def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Read a text embedding table.
+def _read_header(path: str | Path, lines: Iterator[str]) -> tuple[int, int, bool]:
+    """(row count, dim, whether ``path`` is a regular file) from the header ``lines`` begins with.
 
-    A regular file whose declared table holds at least two workers' minimum
-    of values is split into ranges of whole lines, one per process (see
-    ``_worker_count``).  The caller parses the first range and forked
-    workers the others, each a block at a time into one shared matrix, and
-    the first bad row in file order is reported as one process would.  A
-    FIFO is read by one process, as it arrives.
+    Every row takes at least 2 * dim + 1 bytes, so a regular file too small
+    for the declared rows is rejected here, before anything is allocated.
     """
-    lines = read_corpus(path)
     try:
         header = next(lines)
     except StopIteration:
@@ -400,10 +424,6 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         raise ParseError(f"dimension must be positive, got {dim}", 1)
     if row_count < 0:
         raise ParseError(f"row count must be non-negative, got {row_count}", 1)
-    # Every row takes at least 2 * dim + 1 bytes, so a regular file too small
-    # for the declared rows is rejected before anything is allocated.  Rows
-    # then go into one buffer sized at the first block: all declared rows for
-    # a regular file; from a pipe, a buffer that doubles as rows arrive.
     info = os.stat(path)
     regular = stat.S_ISREG(info.st_mode)
     if regular and row_count * (2 * dim + 1) > info.st_size:
@@ -412,33 +432,116 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             f"more than the file's {info.st_size} bytes can hold",
             1,
         )
-    workers = _worker_count(row_count * dim) if regular else 1
-    if workers > 1:
-        lines.close()
-        ranges = _line_ranges(path, workers)
-        # Shared with the workers, which write their rows into it in place.
-        vectors = np.frombuffer(mmap.mmap(-1, row_count * dim * 8), dtype=np.float64)
-        vectors = vectors.reshape(row_count, dim)
-        parts = _fork_join(lambda index: _load_range(path, *ranges[index], row_count, vectors), len(ranges))
-        tokens = [token for part in parts for token in part]
-        filled = len(tokens)
-    else:
-        tokens = []
-        vectors = np.empty((0, dim), dtype=np.float64)
-        filled = 0
-        for block in _parse_rows(lines, 2, dim, row_count, tokens):
-            end = filled + len(block)
-            if end > len(vectors):
-                capacity = row_count if regular else min(row_count, max(1024, 2 * filled, end))
-                grown = np.empty((capacity, dim), dtype=np.float64)
-                grown[:filled] = vectors[:filled]
-                vectors = grown
-            vectors[filled:end] = block
-            filled = end
-    if filled != row_count:
-        raise ParseError(f"header declared {row_count} rows but found {filled}", 1)
+    return row_count, dim, regular
+
+
+def _owned_table(tokens: list[str], vectors: np.ndarray, row_count: int) -> EmbeddingTable:
+    if len(tokens) != row_count:
+        raise ParseError(f"header declared {row_count} rows but found {len(tokens)}", 1)
     with rows_from_line(2):
         return EmbeddingTable._owning(tokens, vectors)
+
+
+def _load_serially(path: str | Path) -> EmbeddingTable:
+    """Read a table in this process, as its rows arrive.
+
+    Rows go into one buffer sized at the first block: all declared rows for
+    a regular file; from a pipe, a buffer that doubles as rows arrive.
+    """
+    lines = read_corpus(path)
+    row_count, dim, regular = _read_header(path, lines)
+    tokens: list[str] = []
+    vectors = np.empty((0, dim), dtype=np.float64)
+    filled = 0
+    for block in _parse_rows(lines, 2, dim, row_count, tokens):
+        end = filled + len(block)
+        if end > len(vectors):
+            capacity = row_count if regular else min(row_count, max(1024, 2 * filled, end))
+            grown = np.empty((capacity, dim), dtype=np.float64)
+            grown[:filled] = vectors[:filled]
+            vectors = grown
+        vectors[filled:end] = block
+        filled = end
+    return _owned_table(tokens, vectors, row_count)
+
+
+class PendingEmbeddings:
+    """An embedding table being loaded; see :func:`start_loading_embeddings`.
+
+    Used as a context manager, it kills and reaps on exit every worker not
+    yet joined, so a caller that fails before the join leaves no process.
+    """
+
+    __slots__ = ("_path", "_error", "_parsing")
+
+    def __init__(self, path: str | Path):
+        self._path = path
+        # Raised by the join, where a loader reading the file then would raise it.
+        self._error: Exception | None = None
+        # The workers parsing every range and the matrix they fill, or None
+        # when the table is read at the join.
+        self._parsing: tuple[_Workers, np.ndarray] | None = None
+
+    def __enter__(self) -> PendingEmbeddings:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._parsing is not None:
+            self._parsing[0].kill()
+            self._parsing = None
+
+
+def start_loading_embeddings(path: str | Path) -> PendingEmbeddings:
+    """Start reading a text embedding table; :func:`join_embeddings` gives it.
+
+    A regular file whose declared table holds at least two workers' minimum
+    of values is split into ranges of whole lines, one per process (see
+    ``_worker_count``), and a forked worker starts on each range at once,
+    parsing it a block at a time into one shared matrix while the caller
+    goes on.  Any other table, a FIFO included, is read at the join by the
+    caller alone.  Every error, the header's included, is raised at the join.
+    """
+    pending = PendingEmbeddings(path)
+    try:
+        # Only a regular file is opened here: opening a FIFO waits for its writer.
+        if stat.S_ISREG(os.stat(path).st_mode):
+            with closing(read_corpus(path)) as lines:
+                row_count, dim, _ = _read_header(path, lines)
+            count = _worker_count(row_count * dim)
+            if count > 1:
+                ranges = _line_ranges(path, count)
+                # Shared with the workers, which write their rows into it in place.
+                vectors = np.frombuffer(mmap.mmap(-1, row_count * dim * 8), dtype=np.float64)
+                vectors = vectors.reshape(row_count, dim)
+                workers = _Workers(
+                    lambda index: _load_range(path, *ranges[index], row_count, vectors), range(len(ranges))
+                )
+                pending._parsing = (workers, vectors)
+    except Exception as exc:
+        pending._error = exc
+    return pending
+
+
+def join_embeddings(pending: PendingEmbeddings) -> EmbeddingTable:
+    """The table ``pending`` holds, once its workers are done.
+
+    The table, and the first bad row in file order, are those one process
+    reading the file now would give.
+    """
+    if pending._error is not None:
+        raise pending._error
+    if pending._parsing is None:
+        return _load_serially(pending._path)
+    workers, vectors = pending._parsing
+    pending._parsing = None
+    tokens = [token for part in workers.join() for token in part]
+    return _owned_table(tokens, vectors, len(vectors))
+
+
+def load_embeddings(path: str | Path) -> EmbeddingTable:
+    """Read a text embedding table: :func:`start_loading_embeddings`, then the join."""
+    with start_loading_embeddings(path) as pending:
+        return join_embeddings(pending)
 
 
 def align_embeddings(table: EmbeddingTable, tokens: Sequence[str]) -> EmbeddingTable:

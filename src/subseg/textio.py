@@ -26,6 +26,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import IO
 
@@ -248,6 +249,10 @@ class Vocabulary:
 
     def get(self, token: str) -> int | None:
         return self._index.get(token)
+
+    def ids(self, tokens: Iterable[str]) -> list[int]:
+        """The id of each token, -1 for one outside the vocabulary."""
+        return list(map(self._index.get, tokens, repeat(-1)))
 
     def freq(self, token: str) -> int:
         return self._freqs[self._index[token]]

@@ -863,3 +863,134 @@ def test_solving_stages_write_the_same_bytes_on_one_cpu_or_all(tmp_path):
     for name in ("W.txt", "E.txt", "sub.txt", "ref_emb.txt"):
         table = load_embeddings(tmp_path / name)
         assert table.vectors.size >= 2 * _MIN_VALUES_PER_WORKER, name
+
+
+@pytest.fixture
+def forking_loads(monkeypatch):
+    """Load every embedding table in forked workers over two CPUs; the pids
+    of the workers forked from then on."""
+    from subseg import subspace
+
+    forked = []
+    fork = subspace._fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(subspace, "_MIN_VALUES_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(subspace, "_fork", recording_fork)
+    return forked
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _embedding_stage_args(command, paths, out):
+    tables = ["--vocab", str(paths["vocab"]), "--counts", str(paths["counts"]),
+              "--output-matrix", str(paths["outmat"]), "--lexicon", str(paths["lex0"]), "-o", str(out)]
+    return [command, *tables, *(["--embeddings", str(paths["emb"])] if command == "refine" else [])]
+
+
+@pytest.mark.parametrize("command", ["subword-embed", "refine"])
+@pytest.mark.parametrize(
+    "key, corrupt, problem",
+    [
+        ("vocab", _replace_line(2, lambda lines: lines[0]), "duplicate token"),
+        ("counts", _replace_line(3, lambda lines: "0\t1\tmany"), "non-integer field"),
+    ],
+)
+def test_a_bad_word_table_stops_the_embedding_workers(
+    pipeline, tmp_path, capsys, forking_loads, command, key, corrupt, problem
+):
+    bad = tmp_path / pipeline[key].name
+    bad.write_text("".join(text + "\n" for text in corrupt(pipeline[key].read_text(encoding="utf-8").splitlines())),
+                   encoding="utf-8")
+    paths = {**pipeline, key: bad}
+    assert main(_embedding_stage_args(command, paths, tmp_path / "out.txt")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line ") and problem in err, err
+    # Two workers per large table had started; none outlives the stage.
+    assert len(forking_loads) == (4 if command == "refine" else 2)
+    _assert_reaped(forking_loads)
+    assert not (tmp_path / "out.txt").exists()
+
+
+def _break(path, tmp_path, how):
+    """A copy of ``path`` in ``tmp_path``: with a bad row 3, or never written."""
+    bad = tmp_path / path.name
+    if how == "row":
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        bad.write_text("".join([*lines[:2], "\t \t\n", *lines[3:]]), encoding="utf-8")
+    return bad
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "command, first, second, how",
+    [
+        ("subword-embed", "outmat", "lex0", "row"),
+        ("subword-embed", "outmat", "lex0", "missing"),
+        ("refine", "emb", "outmat", "row"),
+        ("refine", "outmat", "lex0", "missing"),
+    ],
+)
+def test_of_two_bad_inputs_the_one_read_first_is_reported(
+    pipeline, tmp_path, capsys, forking_loads, monkeypatch, cpus, command, first, second, how
+):
+    # The tables are joined after the lexicon is read, but their errors
+    # still come first, in the order the stage names its inputs.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    bad_first = _break(pipeline[first], tmp_path / "a", "row")
+    alone = main(_embedding_stage_args(command, {**pipeline, first: bad_first}, tmp_path / "out.txt"))
+    alone_err = capsys.readouterr().err
+    bad_second = _break(pipeline[second], tmp_path / "b", how)
+    both = main(_embedding_stage_args(
+        command, {**pipeline, first: bad_first, second: bad_second}, tmp_path / "out.txt"
+    ))
+    assert (both, capsys.readouterr().err) == (alone, alone_err) == (3, alone_err)
+    assert alone_err.startswith(f"error: {bad_first}: line 3: "), alone_err
+    assert len(forking_loads) == (0 if cpus == 1 else 2 * (2 if command == "refine" else 1) * 2)
+    _assert_reaped(forking_loads)
+
+
+def _through_fifo(source, fifo):
+    """Make ``fifo`` a FIFO and start a child process writing ``source`` into it."""
+    os.mkfifo(fifo)
+    code = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+    # A process, not a thread: a process with other threads forks no workers.
+    return subprocess.Popen([sys.executable, "-c", code, str(source), str(fifo)])
+
+
+@pytest.mark.parametrize(
+    "command, key, outputs",
+    [
+        ("subword-embed", "outmat", {"subemb": "sub.txt"}),
+        ("refine", "emb", {"refined": "ref.lex", "refined_emb": "ref_emb.txt"}),
+        ("refine", "outmat", {"refined": "ref.lex", "refined_emb": "ref_emb.txt"}),
+    ],
+)
+def test_an_embedding_table_from_a_fifo_gives_the_same_outputs(
+    pipeline, tmp_path, forking_loads, command, key, outputs
+):
+    writer = _through_fifo(pipeline[key], tmp_path / "table.fifo")
+    try:
+        args = _embedding_stage_args(command, {**pipeline, key: tmp_path / "table.fifo"}, tmp_path / "ref.lex")
+        if command == "subword-embed":
+            args[args.index("-o") + 1] = str(tmp_path / "sub.txt")
+        else:
+            args += ["--subword-embeddings-out", str(tmp_path / "ref_emb.txt")]
+        assert main(args) == 0
+    finally:
+        assert writer.wait(timeout=60) == 0
+    for name, output in outputs.items():
+        assert (tmp_path / output).read_bytes() == pipeline[name].read_bytes(), output
+    _assert_reaped(forking_loads)

@@ -298,8 +298,38 @@ def test_loading_over_several_processes_names_a_bad_row_in_any_range(tmp_path, s
     path.write_text("".join(lines + ["extra 1.0 2.0\n"]), encoding="utf-8")
     with pytest.raises(ParseError, match="line 32: more than the declared 30 rows"):
         load_embeddings(path)
-    assert len(forked) == 6 * 2
+    assert len(forked) == 6 * 3  # a worker per range, the first included
     _assert_reaped(forked)
+
+
+def test_a_started_load_is_parsed_by_workers_until_joined(tmp_path, split_over):
+    rng = np.random.default_rng(9)
+    table = _random_table(rng, [f"w{i}" for i in range(30)], 2)
+    path = tmp_path / "emb.txt"
+    save_embeddings(table, path)
+    forked = split_over(3)
+    with subspace.start_loading_embeddings(path) as pending:
+        assert len(forked) == 3  # every range, the first included
+        assert subspace.join_embeddings(pending) == table
+    _assert_reaped(forked)
+    # A load that is never joined has its workers killed and reaped.
+    forked.clear()
+    with subspace.start_loading_embeddings(path):
+        assert len(forked) == 3
+    _assert_reaped(forked)
+
+
+def test_a_started_load_raises_its_errors_at_the_join(tmp_path, split_over):
+    forked = split_over(2)
+    missing = subspace.start_loading_embeddings(tmp_path / "missing.txt")
+    bad_header = tmp_path / "bad.txt"
+    bad_header.write_text("2 x\n", encoding="utf-8")
+    with subspace.start_loading_embeddings(bad_header) as pending:
+        with pytest.raises(FileNotFoundError):
+            subspace.join_embeddings(missing)
+        with pytest.raises(ParseError, match="line 1: non-integer header field"):
+            subspace.join_embeddings(pending)
+    assert forked == []
 
 
 def test_a_failing_worker_leaves_no_file_part_or_child(tmp_path, split_over, monkeypatch):

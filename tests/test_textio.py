@@ -227,6 +227,14 @@ def test_build_vocabulary_hand_counted_example():
     assert vocab.token_id("a") == 0 and vocab.token_id("b") == 1
 
 
+def test_vocabulary_ids_mark_unknown_tokens_minus_one():
+    vocab = build_vocabulary(["a b a", "b c"], max_size=10)
+    tokens = ["c", "zz", "a", "", "b", "a"]
+    assert vocab.ids(tokens) == [-1 if vocab.get(t) is None else vocab.get(t) for t in tokens]
+    assert vocab.ids(tokens) == [2, -1, 0, -1, 1, 0]
+    assert vocab.ids([]) == []
+
+
 def test_build_vocabulary_empty_corpus():
     vocab = build_vocabulary([], max_size=10)
     assert len(vocab) == 0
