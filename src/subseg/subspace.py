@@ -35,19 +35,23 @@ block that call cannot read exactly as ``float()`` would, malformed rows
 included, row by row, so a bad row is reported at its line (see
 ``cooccur._parse_block``).
 
-Both directions hold the GIL, so a large table is split into contiguous row
+Both directions hold the GIL, so a table is split into contiguous row
 ranges, one per CPU this process may run on, each of at least
 ``_MIN_VALUES_PER_WORKER`` values, and forked workers (``_Workers``) run
-the same code on them.  Loading a regular file splits it into byte ranges
-of whole lines, and a worker per range parses its lines into one shared
+the same code on them.  Loading a regular file of at least that many
+values, in a process on more than one CPU, splits it into byte ranges of
+whole lines, and a worker per range parses its lines into one shared
 matrix from the moment loading starts; the caller goes on with other work
 until it joins the table (``start_loading_embeddings``), and an error
-travels back to be raised in file order.  Saving has the caller format the
-first range into the output and each worker its own range into an unnamed
-temporary file, appended in order.  The table, the file's bytes and the
-errors are those of one process.  FIFOs, small tables, platforms without
-``fork`` or ``sched_getaffinity`` and processes with other Python threads
-use one process, which reads a table when it is joined.
+travels back to be raised in file order.  A table below two minima gets
+one worker, which still overlaps the caller's work.  Saving has nothing to
+overlap: the caller formats the first range into the output and each
+worker its own range into an unnamed temporary file, appended in order,
+so a one-range table is saved by the caller alone.  The table, the file's
+bytes and the errors are those of one process.  FIFOs, tables below one
+minimum, a process on one CPU, platforms without ``fork`` or
+``sched_getaffinity`` and processes with other Python threads use one
+process, which reads a table when it is joined.
 """
 
 from __future__ import annotations
@@ -171,24 +175,30 @@ class EmbeddingTable:
 _MIN_VALUES_PER_WORKER = 1 << 16
 
 
+def _may_fork() -> bool:
+    """Whether this process may fork workers.
+
+    Not without ``fork`` and ``sched_getaffinity`` (macOS, whose system
+    libraries are not safe to fork, lacks the latter), nor in a process
+    running other Python threads, one of which could hold a lock a forked
+    worker would wait on forever.
+    """
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1
+
+
 def _worker_count(values: int) -> int:
-    """Processes to split a table of ``values`` numbers over.
+    """Processes to split a table of ``values`` numbers over, in a process that may fork.
 
     One per CPU this process may run on, each with at least
-    ``_MIN_VALUES_PER_WORKER`` values.  1 without ``fork`` and
-    ``sched_getaffinity`` (macOS, whose system libraries are not safe to
-    fork, lacks the latter), and in a process running other Python threads,
-    one of which could hold a lock a forked worker would wait on forever.
+    ``_MIN_VALUES_PER_WORKER`` values, and at least one.
     """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
     return max(1, min(len(os.sched_getaffinity(0)), values // _MIN_VALUES_PER_WORKER))
 
 
 def _fork() -> int:
     with warnings.catch_warnings():
         # Python 3.12+ warns on fork while the process has other threads.  With
-        # one Python thread (see _worker_count) those are native threads, such
+        # one Python thread (see _may_fork) those are native threads, such
         # as a BLAS pool, that no worker calls into.
         warnings.simplefilter("ignore", DeprecationWarning)
         return os.fork()
@@ -314,9 +324,11 @@ def save_embeddings(table: EmbeddingTable, path: str | Path) -> None:
     ranges, one per process (see ``_worker_count``).  The caller formats the
     first range into the file; each forked worker formats its range into an
     unnamed temporary file beside it, appended in order once all succeed.
-    The bytes are the same whatever the split.
+    A smaller table is one range, formatted by the caller alone: unlike
+    loading, saving has no other work for a lone worker to overlap.  The
+    bytes are the same whatever the split.
     """
-    ranges = _split(len(table), _worker_count(table.vectors.size))
+    ranges = _split(len(table), _worker_count(table.vectors.size) if _may_fork() else 1)
     tokens, vectors = table.tokens, table.vectors
     with atomic_text_writer(path) as handle:
         handle.write(f"{len(table)} {table.dim}\n")
@@ -494,12 +506,14 @@ class PendingEmbeddings:
 def start_loading_embeddings(path: str | Path) -> PendingEmbeddings:
     """Start reading a text embedding table; :func:`join_embeddings` gives it.
 
-    A regular file whose declared table holds at least two workers' minimum
-    of values is split into ranges of whole lines, one per process (see
-    ``_worker_count``), and a forked worker starts on each range at once,
-    parsing it a block at a time into one shared matrix while the caller
-    goes on.  Any other table, a FIFO included, is read at the join by the
-    caller alone.  Every error, the header's included, is raised at the join.
+    A regular file whose declared table holds at least one worker's minimum
+    of values, in a process that may fork (``_may_fork``) on more than one
+    CPU, is split into ranges of whole lines, one per process (see
+    ``_worker_count``; one below two minima), and a forked worker starts on
+    each range at once, parsing it a block at a time into one shared matrix
+    while the caller goes on.  Any other table, a FIFO included, is read at
+    the join by the caller alone.  Every error, the header's included, is
+    raised at the join.
     """
     pending = PendingEmbeddings(path)
     try:
@@ -507,9 +521,10 @@ def start_loading_embeddings(path: str | Path) -> PendingEmbeddings:
         if stat.S_ISREG(os.stat(path).st_mode):
             with closing(read_corpus(path)) as lines:
                 row_count, dim, _ = _read_header(path, lines)
-            count = _worker_count(row_count * dim)
-            if count > 1:
-                ranges = _line_ranges(path, count)
+            values = row_count * dim
+            # On one CPU a worker could only take turns with the caller.
+            if values >= _MIN_VALUES_PER_WORKER and _may_fork() and len(os.sched_getaffinity(0)) > 1:
+                ranges = _line_ranges(path, _worker_count(values))
                 # Shared with the workers, which write their rows into it in place.
                 vectors = np.frombuffer(mmap.mmap(-1, row_count * dim * 8), dtype=np.float64)
                 vectors = vectors.reshape(row_count, dim)

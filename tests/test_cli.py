@@ -23,6 +23,7 @@ from subseg import (
     save_lexicon,
 )
 from subseg.cli import main
+from subseg.errors import ParseError, ValidationError
 
 from synthdata import agglutinative_corpus, consistent_embeddings
 
@@ -962,6 +963,61 @@ def test_of_two_bad_inputs_the_one_read_first_is_reported(
     _assert_reaped(forking_loads)
 
 
+def _load_outcome(load, path):
+    try:
+        table = load(path)
+    except ValidationError as exc:
+        return type(exc), exc.line_number, str(exc)
+    return table.tokens, table.vectors.view(np.int64).tobytes()
+
+
+def test_a_table_of_one_to_two_minima_is_parsed_by_one_worker(pipeline, tmp_path, forking_loads, monkeypatch):
+    from subseg import subspace
+
+    path = pipeline["emb"]
+    values = subspace._load_serially(path).vectors.size
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("".join([*lines[:-1], lines[-1].rsplit(" ", 1)[0] + " x\n"]), encoding="utf-8")
+
+    # Exactly one minimum: under two, so one worker parses the whole table
+    # while the caller goes on, with the bits and errors of one process.
+    monkeypatch.setattr(subspace, "_MIN_VALUES_PER_WORKER", values)
+    assert subspace._worker_count(values) == 1
+    for table in (path, bad):
+        forking_loads.clear()
+        with subspace.start_loading_embeddings(table) as pending:
+            assert len(forking_loads) == 1
+            outcome = _load_outcome(lambda _: subspace.join_embeddings(pending), table)
+        assert outcome == _load_outcome(subspace._load_serially, table)
+        _assert_reaped(forking_loads)
+    assert outcome == (ParseError, len(lines), f"line {len(lines)}: non-numeric vector component")
+
+    # Under one minimum, or on one CPU, the caller reads the table at the join.
+    forking_loads.clear()
+    for minimum, cpus in ((values + 1, 2), (values, 1)):
+        monkeypatch.setattr(subspace, "_MIN_VALUES_PER_WORKER", minimum)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        for table in (path, bad):
+            assert _load_outcome(subspace.load_embeddings, table) == _load_outcome(subspace._load_serially, table)
+        assert forking_loads == []
+
+
+def test_refine_with_tables_of_one_to_two_minima_forks_one_worker_each(pipeline, tmp_path, forking_loads, monkeypatch):
+    from subseg import subspace
+
+    monkeypatch.setattr(subspace, "_MIN_VALUES_PER_WORKER", load_embeddings(pipeline["emb"]).vectors.size)
+    assert load_embeddings(pipeline["outmat"]).vectors.size == subspace._MIN_VALUES_PER_WORKER
+    forking_loads.clear()
+    args = _embedding_stage_args("refine", pipeline, tmp_path / "ref.lex")
+    assert main([*args, "--subword-embeddings-out", str(tmp_path / "ref_emb.txt")]) == 0
+    # One worker per table (E and W); saving a one-range table forks none.
+    assert len(forking_loads) == 2
+    _assert_reaped(forking_loads)
+    assert (tmp_path / "ref.lex").read_bytes() == pipeline["refined"].read_bytes()
+    assert (tmp_path / "ref_emb.txt").read_bytes() == pipeline["refined_emb"].read_bytes()
+
+
 def _through_fifo(source, fifo):
     """Make ``fifo`` a FIFO and start a child process writing ``source`` into it."""
     os.mkfifo(fifo)
@@ -994,3 +1050,54 @@ def test_an_embedding_table_from_a_fifo_gives_the_same_outputs(
     for name, output in outputs.items():
         assert (tmp_path / output).read_bytes() == pipeline[name].read_bytes(), output
     _assert_reaped(forking_loads)
+
+
+def test_the_process_entry_gives_the_output_and_exit_code_of_main(pipeline, tmp_path, capsys):
+    segment = ["segment", str(pipeline["corpus"]), "--model", str(pipeline["model"])]
+    assert main([*segment, "-o", str(tmp_path / "seg.txt")]) == 0
+    piped = _run_cli([*segment, "-o", "-"], b"", tmp_path)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == (tmp_path / "seg.txt").read_bytes()
+    # A stage that loaded scipy.sparse and failed on its data.
+    bad = _break(pipeline["outmat"], tmp_path, "row")
+    args = _embedding_stage_args("refine", {**pipeline, "outmat": bad}, tmp_path / "out.txt")
+    capsys.readouterr()
+    assert main(args) == 3
+    failed = _run_cli(args, b"", tmp_path)
+    assert (failed.returncode, failed.stdout, failed.stderr.decode()) == (3, b"", capsys.readouterr().err)
+
+
+def test_run_freezes_the_heap_before_a_normal_exit(pipeline, tmp_path):
+    argv = ["subseg", "segment", str(pipeline["corpus"]), "--model", str(pipeline["model"]), "-o", "-"]
+    script = (
+        "import atexit, gc, sys\n"
+        "from subseg import cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        f"sys.argv = {argv!r}\n"
+        "cli.run()\n"
+    )
+    ran = _run_python(["-c", script], b"", tmp_path)
+    assert (ran.returncode, ran.stderr) == (0, b"frozen True\n")
+    assert ran.stdout == _run_cli(argv[1:], b"", tmp_path).stdout != b""
+
+
+def test_main_leaves_the_heap_unfrozen(pipeline, tmp_path):
+    import gc
+
+    before = gc.get_freeze_count()
+    assert main(_embedding_stage_args("refine", pipeline, tmp_path / "ref.lex")) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_resolves_to_the_process_entry():
+    import importlib
+
+    from subseg import cli
+
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["subseg"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry)
+    assert entry is cli.run

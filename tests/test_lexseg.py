@@ -245,6 +245,40 @@ def test_batched_similarities_equal_cosine_bitwise(dim):
         assert batched.cosines[pair] == want
 
 
+def test_rescoring_pieces_shared_across_pair_blocks_equals_cosine_bitwise(monkeypatch):
+    # At d = 300, with blocks of 7 pairs and 3 norms, a piece's pairs span
+    # several blocks and calls; word norms are computed once, piece norms
+    # once per call.
+    monkeypatch.setattr(lexseg, "_PAIR_BLOCK", 7)
+    monkeypatch.setattr(lexseg, "_NORM_ROWS", 3)
+    dim = 300
+    rng = np.random.default_rng(dim)
+    words = ["abab", "babba", "ab", "bbb", "aabba", "b"]
+    word_vectors = rng.normal(size=(len(words), dim)) * rng.choice([1e-3, 1.0, 1e3], size=(len(words), 1))
+    word_vectors[3] = 0.0
+    batched = _WordSubstrings(words, word_vectors)
+    pieces = list(batched.piece_ids)
+    # Rows in another order than piece ids, one piece without a row.
+    piece_row = rng.permutation(len(pieces))
+    piece_row[pieces.index("bbb")] = -1
+    vectors = np.zeros((len(pieces), dim))
+    for rescored in (None, ["b", "ab", "bbb"], ["a", "ba"], []):
+        ids = None if rescored is None else [batched.piece_ids[p] for p in rescored]
+        rows = [row for row in piece_row[ids if ids is not None else slice(None)] if row >= 0]
+        vectors = np.array(vectors)
+        vectors[rows] = rng.normal(size=(len(rows), dim))
+        vectors[piece_row[pieces.index("a")]] = 0.0
+        before = batched.cosines.copy()
+        batched.score(vectors, piece_row, ids)
+        for pair in range(batched.pair_piece.size):
+            piece = int(batched.pair_piece[pair])
+            if ids is not None and piece not in ids or piece_row[piece] < 0:
+                assert batched.cosines[pair] == before[pair]
+                continue
+            want = cosine(word_vectors[batched.pair_word[pair]], vectors[piece_row[piece]])
+            assert np.float64(batched.cosines[pair]).view(np.int64) == np.float64(want).view(np.int64)
+
+
 # A few fixed vectors with repeats, so that cosines and whole-split scores
 # tie exactly; the zero vector makes every cosine 0.
 _VECTOR_POOL = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 2.0], [3.0, -1.0]])

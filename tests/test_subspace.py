@@ -383,18 +383,26 @@ def test_a_callers_finally_runs_once_when_a_worker_raises(tmp_path, split_over, 
     assert log.read_text(encoding="utf-8").split() == [str(parent)]
 
 
-def test_small_tables_and_threaded_callers_use_one_process(tmp_path, monkeypatch):
+def test_small_tables_and_threaded_callers_use_one_process(tmp_path, monkeypatch, split_over):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     minimum = subspace._MIN_VALUES_PER_WORKER
+    assert subspace._worker_count(minimum - 1) == 1
     assert subspace._worker_count(2 * minimum - 1) == 1
     assert subspace._worker_count(2 * minimum) == 2
     assert subspace._worker_count(100 * minimum) == 8
+    assert subspace._may_fork()
+    table = _random_table(np.random.default_rng(8), [f"w{i}" for i in range(20)], 4)
     started, release = threading.Event(), threading.Event()
     other = threading.Thread(target=lambda: (started.set(), release.wait(30)))
     other.start()
     try:
         started.wait(30)
-        assert subspace._worker_count(100 * minimum) == 1
+        assert not subspace._may_fork()
+        # Even tables worth a worker per CPU are saved and loaded in this process.
+        forked = split_over(8)
+        save_embeddings(table, tmp_path / "emb.txt")
+        assert load_embeddings(tmp_path / "emb.txt") == table
+        assert forked == []
     finally:
         release.set()
         other.join(30)
