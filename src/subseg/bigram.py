@@ -16,6 +16,13 @@ in S, and to the uniform 1/|S| otherwise.  Single-character subwords are
 always admissible during segmentation even when they are outside S, so
 every word has at least one complete analysis.
 
+The beam search reads these logs from a score table the model builds on
+first use (:meth:`BigramModel._step_scores`): one entry per stored bigram
+plus one unseen-bigram default for ``###`` and for each member of S, so
+its size is bounded by the model, whatever is segmented with it.  Only a
+prev outside S, a character the model never saw, is scored by
+:meth:`BigramModel.log_prob` itself.
+
 Model files: a ``LEGROS-BIGRAM v1`` header, one ``|S|=<n> total=<t>
 maxlen=<m>`` summary line, a ``#UNIGRAMS`` section of ``subword<TAB>count``
 rows, and a ``#BIGRAMS`` section of ``prev<TAB>next<TAB>count`` rows.
@@ -26,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import islice
 from pathlib import Path
 
 from subseg.errors import ArgumentError, ParseError, ValidationError
@@ -43,6 +51,8 @@ START_SYMBOL = "###"
 _MODEL_HEADER = "LEGROS-BIGRAM v1"
 
 _Hypothesis = tuple[float, int, tuple[str, ...]]
+# A beam hypothesis also carries its last subword (START_SYMBOL when empty).
+_BeamHypothesis = tuple[float, int, tuple[str, ...], str]
 
 
 class BigramModel:
@@ -66,6 +76,7 @@ class BigramModel:
         "_total",
         "_max_len",
         "_subwords",
+        "_steps",
     )
 
     def __init__(
@@ -109,6 +120,7 @@ class BigramModel:
         self._total = sum(unigrams.values())
         self._max_len = max((len(token) for token in unigrams), default=0)
         self._subwords = SubwordVocabulary(sorted(unigrams))
+        self._steps: dict[str, tuple[dict[str, float], float]] | None = None
 
     @property
     def subwords(self) -> SubwordVocabulary:
@@ -167,6 +179,30 @@ class BigramModel:
             return math.log((self._unigrams[next_token] + 1) / (self._total + size))
         return math.log(1.0 / size)
 
+    def _step_scores(self) -> dict[str, tuple[dict[str, float], float]]:
+        """The beam's step scores, ``log_prob(next, prev)`` for every prev in {###} ∪ S.
+
+        Maps prev to the scores of its stored bigrams by next, and the score
+        of any other next, ``log(1 / (context_count(prev) + |S|))``.  These
+        are the floats :meth:`log_prob` computes.  The table is built on the
+        first call and kept: one entry per stored bigram plus one default per
+        context, so it is bounded by the model, not by what is segmented.
+        """
+        if self._steps is None:
+            size = self.size
+            if size == 0:
+                raise ValidationError("model has an empty subword inventory")
+            contexts = self._contexts
+            rows: dict[str, dict[str, float]] = {prev: {} for prev in contexts}
+            for (prev, nxt), count in self._bigrams.items():
+                rows[prev][nxt] = math.log((count + 1) / (contexts[prev] + size))
+            unseen_only: dict[str, float] = {}
+            self._steps = {
+                prev: (rows.get(prev, unseen_only), math.log(1 / (contexts.get(prev, 0) + size)))
+                for prev in (START_SYMBOL, *self._unigrams)
+            }
+        return self._steps
+
 
 def iter_word_groups(
     lines: Iterable[str], separator: str | None = None
@@ -197,19 +233,65 @@ def iter_word_groups(
             yield group
 
 
+# Distinct lines count_word_groups holds before it splits them into groups.
+_LINE_MEMO_SIZE = 1 << 16
+
+
+def count_word_groups(
+    lines: Iterable[str], separator: str | None = None
+) -> Counter[tuple[str, ...]]:
+    """Count the word groups of a segmented corpus, splitting each distinct line once.
+
+    Groups never span lines, so the groups of a line repeated n times are
+    each counted n times.  Lines are counted a block at a time, and the
+    distinct lines are split and dropped once ``_LINE_MEMO_SIZE`` of them
+    are held, which keeps memory bounded on a stream of distinct lines.
+    The counts, and their first-occurrence order, equal
+    ``Counter(map(tuple, iter_word_groups(lines, separator)))``.
+    """
+    if separator is not None:
+        _check_token(separator, "separator", ArgumentError)
+    groups: Counter[tuple[str, ...]] = Counter()
+    distinct: Counter[str] = Counter()
+    lines = iter(lines)
+    # Each pass takes one line, then counts the block's other lines in C.
+    for line in lines:
+        distinct[line] += 1
+        distinct.update(islice(lines, _LINE_MEMO_SIZE - 1))
+        if len(distinct) >= _LINE_MEMO_SIZE:
+            _add_groups(groups, distinct, separator)
+    _add_groups(groups, distinct, separator)
+    return groups
+
+
+def _add_groups(groups: Counter, distinct: Counter, separator: str | None) -> None:
+    """Add each line's groups to ``groups``, weighted by its count, and empty ``distinct``."""
+    for line, weight in distinct.items():
+        for group in iter_word_groups((line,), separator):
+            groups[tuple(group)] += weight
+    distinct.clear()
+
+
 def distill(groups: Iterable[Sequence[str]]) -> BigramModel:
     """Count a segmented corpus into a bigram model.
 
-    Each group is one word occurrence as a subword sequence.  The inventory
-    S is the set of observed subwords plus every character observed inside
-    them; characters that never occur as whole tokens enter with count 0.
-
-    Identical groups are counted once, weighted by how often they occur,
-    which gives the same integer counts as counting every occurrence.
-    Distinct groups are checked in order of first occurrence, so an invalid
-    corpus raises the error of its first invalid group.
+    Each group is one word occurrence as a subword sequence; see
+    :func:`distill_counted`.
     """
-    occurrences = Counter(map(tuple, groups))
+    return distill_counted(Counter(map(tuple, groups)))
+
+
+def distill_counted(occurrences: Mapping[tuple[str, ...], int]) -> BigramModel:
+    """Count distinct word groups, each weighted by its occurrences, into a bigram model.
+
+    The inventory S is the set of observed subwords plus every character
+    observed inside them; characters that never occur as whole tokens enter
+    with count 0.  Counting each distinct group once, weighted, gives the
+    same integer counts as counting every occurrence.  Groups are checked
+    in the mapping's order, which for the counts of a corpus is the order
+    of first occurrence, so an invalid corpus raises the error of its first
+    invalid group.
+    """
     if not occurrences:
         raise ArgumentError("cannot distill from an empty corpus")
     unigrams: Counter = Counter()
@@ -241,28 +323,40 @@ def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSeg
     is pruned to the ``beam_size`` best by score, with ties broken toward
     fewer subwords and then lexicographically.  Multi-character candidates
     must be inventory members; single characters are always admissible.
+
+    Step scores come from :meth:`BigramModel._step_scores`; only a prev
+    outside S (a single character the model never saw) goes through
+    :meth:`BigramModel.log_prob`.
     """
     _check_token(word, "word", ArgumentError)
     if beam_size < 1:
         raise ArgumentError(f"beam_size must be at least 1, got {beam_size}")
+    steps = model._step_scores()
+    inventory = model._unigrams
     n = len(word)
     max_len = max(model.max_subword_length, 1)
-    groups: list[list[_Hypothesis]] = [[] for _ in range(n + 1)]
-    groups[0] = [(0.0, 0, ())]
+    groups: list[list[_BeamHypothesis]] = [[] for _ in range(n + 1)]
+    groups[0] = [(0.0, 0, (), START_SYMBOL)]
     for start in range(n):
         survivors = _pruned(groups[start], beam_size)
         groups[start] = survivors
-        for length in range(1, max_len + 1):
-            end = start + length
-            if end > n:
-                break
+        admissible = [(start + 1, word[start])]
+        for end in range(start + 2, min(start + max_len, n) + 1):
             piece = word[start:end]
-            if length > 1 and piece not in model:
+            if piece in inventory:
+                admissible.append((end, piece))
+        for score, count, sequence, prev in survivors:
+            step = steps.get(prev)
+            if step is None:
+                for end, piece in admissible:
+                    groups[end].append(
+                        (score + model.log_prob(piece, prev), count + 1, sequence + (piece,), piece)
+                    )
                 continue
-            for score, count, sequence in survivors:
-                prev = sequence[-1] if sequence else START_SYMBOL
+            scores, unseen = step
+            for end, piece in admissible:
                 groups[end].append(
-                    (score + model.log_prob(piece, prev), count + 1, sequence + (piece,))
+                    (score + scores.get(piece, unseen), count + 1, sequence + (piece,), piece)
                 )
     complete = _pruned(groups[n], beam_size)
     if not complete:
@@ -271,7 +365,7 @@ def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSeg
     return ScoredSegmentation(best[2], best[0])
 
 
-def _pruned(hypotheses: list[_Hypothesis], beam_size: int) -> list[_Hypothesis]:
+def _pruned(hypotheses: list[_BeamHypothesis], beam_size: int) -> list[_BeamHypothesis]:
     if len(hypotheses) <= beam_size:
         return hypotheses
     return sorted(hypotheses, key=_candidate_order)[:beam_size]

@@ -93,15 +93,20 @@ def _parse_ridge(text: str) -> float | None:
     return value
 
 
-def _write_segmented(
-    rows: Iterable[list[tuple[str, ...]]], handle: IO[str], word_per_line: bool
-) -> None:
-    for row in rows:
-        if word_per_line:
-            for parts in row:
-                handle.write(" ".join(parts) + "\n")
-        else:
-            handle.write(" ".join(part for parts in row for part in parts) + "\n")
+def _write_rows(rows: Iterable[list[str]], handle: IO[str], word_per_line: bool) -> None:
+    """Write each input line's segmented words (``"p1 p2"`` each) as one string.
+
+    The words go on one line, or one line each; a line without words gives
+    an empty line, or nothing.
+    """
+    write = handle.write
+    if word_per_line:
+        for row in rows:
+            if row:
+                write("\n".join(row) + "\n")
+    else:
+        for row in rows:
+            write(" ".join(row) + "\n")
 
 
 def _cmd_vocab(args: argparse.Namespace) -> int:
@@ -128,10 +133,11 @@ def _cmd_cooc(args: argparse.Namespace) -> int:
 def _cmd_init_bpe(args: argparse.Namespace) -> int:
     vocab = _load(textio.load_vocabulary, args.vocab)
     with _naming(args.corpus):
-        merges = textio.bpe_train(_input_lines(args.corpus), args.target_size)
+        merges, splits = textio.bpe_train_splits(_input_lines(args.corpus), args.target_size)
+    # Training already split every corpus type of two or more characters.
     rules = textio.MergeRules(merges)
     lexicon = textio.SegmentedLexicon(
-        (word, textio.bpe_segment(word, rules)) for word in vocab.tokens
+        (word, splits.get(word) or textio.bpe_segment(word, rules)) for word in vocab.tokens
     )
     textio.save_lexicon(lexicon, args.lexicon_out)
     if args.merges_out:
@@ -253,18 +259,19 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 def _cmd_segment_embed(args: argparse.Namespace) -> int:
     lexicon = _load(textio.load_lexicon, args.lexicon)
-    rows = textio.segment_corpus(_input_lines(args.corpus), lexicon, oov_policy=args.oov_policy)
+    texts = {word: " ".join(parts) for word, parts in lexicon.items()}
+    rows = textio.map_corpus(_input_lines(args.corpus), texts, args.oov_policy, " ".join)
     with _naming(args.corpus), _output_stream(args.output) as handle:
-        _write_segmented(rows, handle, args.word_per_line)
+        _write_rows(rows, handle, args.word_per_line)
     return 0
 
 
 def _cmd_distill(args: argparse.Namespace) -> int:
     from subseg import bigram
 
-    groups = bigram.iter_word_groups(_input_lines(args.corpus), separator=args.separator)
     with _naming(args.corpus):
-        model = bigram.distill(groups)
+        groups = bigram.count_word_groups(_input_lines(args.corpus), separator=args.separator)
+        model = bigram.distill_counted(groups)
     bigram.save_model(model, args.output)
     return 0
 
@@ -272,22 +279,21 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     from subseg import bigram
 
+    if not args.exact and args.beam < 1:
+        raise ArgumentError(f"beam_size must be at least 1, got {args.beam}")
     model = _load(bigram.load_model, args.model)
 
     # Both searches are deterministic per (word, model), so memoizing each
-    # word type is exact; the bound keeps memory flat on streaming input.
+    # word type's text is exact; the bound keeps memory flat on streaming input.
     @functools.lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
-    def segment_word(word: str) -> tuple[str, ...]:
+    def segment_word(word: str) -> str:
         if args.exact:
-            return bigram.exact_segment(word, model).subwords
-        return bigram.beam_segment(word, model, beam_size=args.beam).subwords
+            return " ".join(bigram.exact_segment(word, model).subwords)
+        return " ".join(bigram.beam_segment(word, model, beam_size=args.beam).subwords)
 
-    def rows() -> Iterator[list[tuple[str, ...]]]:
-        for line in _input_lines(args.corpus):
-            yield [segment_word(word) for word in line.split()]
-
+    rows = (list(map(segment_word, line.split())) for line in _input_lines(args.corpus))
     with _naming(args.corpus), _output_stream(args.output) as handle:
-        _write_segmented(rows(), handle, args.word_per_line)
+        _write_rows(rows, handle, args.word_per_line)
     return 0
 
 

@@ -23,16 +23,17 @@ import math
 import os
 import tempfile
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import IO
+from typing import IO, NamedTuple, TypeVar
 
 from subseg.errors import ArgumentError, CorpusIOError, ParseError, ValidationError, rows_from_line
 
 MergePair = tuple[str, str]
+
+_T = TypeVar("_T")
 
 OOV_POLICIES = ("error", "whole", "char")
 
@@ -435,8 +436,7 @@ class SubwordVocabulary:
         return f"SubwordVocabulary({len(self)} subwords)"
 
 
-@dataclass(frozen=True)
-class ScoredSegmentation:
+class ScoredSegmentation(NamedTuple):
     subwords: tuple[str, ...]
     score: float
 
@@ -455,28 +455,50 @@ def segment_corpus(
     """Map each corpus word through a per-type segmentation lookup.
 
     Yields, per input line, the list of word segmentations in order.
-    Out-of-lexicon words follow ``oov_policy``: ``error`` raises naming the
-    word and line, ``whole`` passes the word through unsplit, ``char``
-    splits it into characters.
+    Out-of-lexicon words follow ``oov_policy`` as in :func:`map_corpus`:
+    ``error`` raises naming the word and line, ``whole`` passes the word
+    through unsplit, ``char`` splits it into characters.
+    """
+    table = {word: tuple(parts) for word, parts in segmentations.items()}
+    return map_corpus(lines, table, oov_policy, tuple)
+
+
+def map_corpus(
+    lines: Iterable[str],
+    table: Mapping[str, _T],
+    oov_policy: str,
+    finish: Callable[[tuple[str, ...]], _T],
+) -> Iterator[list[_T]]:
+    """Yield, per input line, the ``table`` value of each of its words in order.
+
+    A word missing from ``table`` follows ``oov_policy``: ``error`` raises
+    naming the word and its line, ``whole`` gives ``finish((word,))`` and
+    ``char`` gives ``finish`` of the word's characters.  A word in the table
+    costs one lookup; an out-of-lexicon value is made per occurrence and
+    kept nowhere, so a stream of novel words leaves memory flat.
     """
     if oov_policy not in OOV_POLICIES:
         raise ArgumentError(
             f"oov_policy must be one of {', '.join(OOV_POLICIES)}, got {oov_policy!r}"
         )
+    get = table.get
     for lineno, line in enumerate(lines, 1):
-        row: list[tuple[str, ...]] = []
-        for word in line.split():
-            if word in segmentations:
-                row.append(tuple(segmentations[word]))
-            elif oov_policy == "whole":
-                row.append((word,))
-            elif oov_policy == "char":
-                row.append(tuple(word))
-            else:
-                raise ValidationError(
-                    f"line {lineno}: word {word!r} is not in the segmentation lexicon"
-                )
+        words = line.split()
+        row = list(map(get, words))
+        if None in row:
+            row = [
+                value if value is not None else finish(_oov_split(word, oov_policy, lineno))
+                for word, value in zip(words, row)
+            ]
         yield row
+
+
+def _oov_split(word: str, oov_policy: str, lineno: int) -> tuple[str, ...]:
+    if oov_policy == "whole":
+        return (word,)
+    if oov_policy == "char":
+        return tuple(word)
+    raise ValidationError(f"line {lineno}: word {word!r} is not in the segmentation lexicon")
 
 
 def _apply_merge(symbols: tuple[str, ...], pair: MergePair) -> tuple[str, ...]:
@@ -502,6 +524,19 @@ def bpe_train(
 ) -> list[MergePair]:
     """Learn merge rules by iterated most-frequent-pair merging.
 
+    Returns the merges of :func:`bpe_train_splits`, which also returns the
+    split of every corpus type of two or more characters that training ends
+    with; ``init-bpe`` reuses those splits for its vocabulary words.
+    """
+    return bpe_train_splits(lines, target_vocab_size)[0]
+
+
+def bpe_train_splits(
+    lines: Iterable[str],
+    target_vocab_size: int,
+) -> tuple[list[MergePair], dict[str, tuple[str, ...]]]:
+    """Learn merge rules, and the split training ends with for each corpus type.
+
     Pair counts are accumulated per word type, weighted by corpus
     frequency; merges never cross word boundaries and no end-of-word
     marker is introduced.  A pair's count includes overlapping occurrences
@@ -519,6 +554,14 @@ def bpe_train(
     (an entry whose count is out of date is dropped when it reaches the
     top).  A merge thus costs time in the types it touches, not in the
     whole vocabulary.
+
+    Training ends holding the split of every corpus type of two or more
+    characters, which the returned dict maps it to.  Each merge is applied
+    to every type that holds its pair at that step, which is what applying
+    the list in order does (see :func:`bpe_segment`), so each of these
+    splits equals ``bpe_segment(word, merges)``; ``init-bpe`` reuses them
+    and segments only the other vocabulary words (single characters and
+    words absent from the corpus).
     """
     word_counts = Counter(token for line in lines for token in line.split())
     charset = {ch for word in word_counts for ch in word}
@@ -528,8 +571,9 @@ def bpe_train(
             f"distinct character count {len(charset)}"
         )
     # Single-character types hold no pair and never change.
-    pieces = [tuple(word) for word in word_counts if len(word) > 1]
-    weights = [word_counts[word] for word in word_counts if len(word) > 1]
+    words = [word for word in word_counts if len(word) > 1]
+    pieces = [tuple(word) for word in words]
+    weights = [word_counts[word] for word in words]
     pair_counts: defaultdict[MergePair, int] = defaultdict(int)
     pair_types: defaultdict[MergePair, set[int]] = defaultdict(set)
     for index, symbols in enumerate(pieces):
@@ -573,7 +617,9 @@ def bpe_train(
             else:
                 del pair_counts[pair]
                 del pair_types[pair]
-    return merges
+    # The pair index is not needed past training; free it before the dict exists.
+    del pair_counts, pair_types, heap
+    return merges, dict(zip(words, pieces))
 
 
 class MergeRules:

@@ -508,15 +508,44 @@ for argv in [
     ["segment", "corpus.txt", "--model", "model.txt", "-o", "out.seg"],
     ["eval-boundaries", "--pred", "bpe.lex", "--gold", "bpe.lex", "-o", "eval.txt"],
 ]:
-    print(argv[0], main(argv), "numpy" in sys.modules)
+    heavy = [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+    print(argv[0], main(argv), *heavy)
 """
     ran = _run_python(["-c", script], b"", tmp_path)
     assert ran.returncode == 0, ran.stderr
-    assert ran.stdout.decode().splitlines() == [
-        f"{stage} 0 False"
-        for stage in ("vocab", "init-bpe", "segment-embed", "distill", "segment", "eval-boundaries")
-    ]
+    lines = ran.stdout.decode().splitlines()
+    # The pipeline stages load neither numpy nor dataclasses' import of inspect.
+    assert lines[:5] == [f"{stage} 0" for stage in ("vocab", "init-bpe", "segment-embed", "distill", "segment")]
+    assert lines[5].split()[:2] == ["eval-boundaries", "0"] and "numpy" not in lines[5]
     assert (tmp_path / "out.seg").read_text(encoding="utf-8").replace(" ", "") == "undoingredoingundo\nredodoing\n"
+
+
+@pytest.mark.parametrize("corpus", [None, b"", b"badim rekun\n"])
+@pytest.mark.parametrize("beam", ["0", "-2"])
+def test_segment_rejects_a_beam_below_1_whatever_the_input(pipeline, tmp_path, monkeypatch, capsys, corpus, beam):
+    """``None`` is an empty file; bytes come on stdin."""
+    if corpus is None:
+        source = tmp_path / "empty.txt"
+        source.write_bytes(b"")
+        source = str(source)
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(corpus), encoding="utf-8"))
+        source = "-"
+    out = tmp_path / "out.seg"
+    code = main(["segment", source, "--model", str(pipeline["model"]), "--beam", beam, "-o", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: beam_size must be at least 1, got {beam}\n"
+    assert not out.exists()
+
+
+def test_segment_exact_ignores_the_beam(pipeline, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("badim\n", encoding="utf-8")
+    out = tmp_path / "out.seg"
+    args = ["segment", str(words), "--model", str(pipeline["model"]), "--exact"]
+    assert main([*args, "--beam", "0", "-o", str(out)]) == 0
+    assert main([*args, "-o", str(tmp_path / "default.seg")]) == 0
+    assert out.read_bytes() == (tmp_path / "default.seg").read_bytes()
 
 
 def test_solving_stages_never_load_scipy_linalg(pipeline, tmp_path):
