@@ -39,6 +39,7 @@ _EXPORTS = {
         "save_lexicon",
         "save_merges",
         "save_vocabulary",
+        "segment_corpus",
     ),
     "cooccur": (
         "CooccurrenceCounts",
@@ -56,9 +57,7 @@ _EXPORTS = {
         "default_ridge",
         "join_embeddings",
         "load_embeddings",
-        "right_inverse_solve",
         "save_embeddings",
-        "smoothed_log_target",
         "start_loading_embeddings",
     ),
     "lexseg": (
@@ -67,8 +66,6 @@ _EXPORTS = {
         "cosine",
         "embedding_segment",
         "refine",
-        # This one also accepts a RefinementState.
-        "segment_corpus",
     ),
     "bigram": (
         "START_SYMBOL",

@@ -16,12 +16,11 @@ in S, and to the uniform 1/|S| otherwise.  Single-character subwords are
 always admissible during segmentation even when they are outside S, so
 every word has at least one complete analysis.
 
-The beam search reads these logs from a score table the model builds on
-first use (:meth:`BigramModel._step_scores`): one entry per stored bigram
-plus one unseen-bigram default for ``###`` and for each member of S, so
-its size is bounded by the model, whatever is segmented with it.  Only a
-prev outside S, a character the model never saw, is scored by
-:meth:`BigramModel.log_prob` itself.
+These logs are computed in one place, a score table the model builds on
+first use (:meth:`BigramModel._step_scores`): one row per context in
+{``###``} ∪ S and one for any other context, so its size is bounded by the
+model, whatever is segmented with it.  :meth:`BigramModel.log_prob`, the
+beam search and the exact search all read it.
 
 Model files: a ``LEGROS-BIGRAM v1`` header, one ``|S|=<n> total=<t>
 maxlen=<m>`` summary line, a ``#UNIGRAMS`` section of ``subword<TAB>count``
@@ -53,6 +52,9 @@ _MODEL_HEADER = "LEGROS-BIGRAM v1"
 _Hypothesis = tuple[float, int, tuple[str, ...]]
 # A beam hypothesis also carries its last subword (START_SYMBOL when empty).
 _BeamHypothesis = tuple[float, int, tuple[str, ...], str]
+# One context's step scores: the logs of its stored next tokens, and the log
+# of any other next token.
+_StepRow = tuple[dict[str, float], float]
 
 
 class BigramModel:
@@ -120,7 +122,7 @@ class BigramModel:
         self._total = sum(unigrams.values())
         self._max_len = max((len(token) for token in unigrams), default=0)
         self._subwords = SubwordVocabulary(sorted(unigrams))
-        self._steps: dict[str, tuple[dict[str, float], float]] | None = None
+        self._steps: tuple[dict[str, _StepRow], _StepRow] | None = None
 
     @property
     def subwords(self) -> SubwordVocabulary:
@@ -169,24 +171,19 @@ class BigramModel:
         """Smoothed log P(next | prev) with unigram and uniform fallbacks."""
         if not next_token:
             raise ArgumentError("next token must be nonempty")
-        size = self.size
-        if size == 0:
-            raise ValidationError("model has an empty subword inventory")
-        if prev_token == START_SYMBOL or prev_token in self._unigrams:
-            numerator = self._bigrams.get((prev_token, next_token), 0) + 1
-            return math.log(numerator / (self._contexts.get(prev_token, 0) + size))
-        if next_token in self._unigrams:
-            return math.log((self._unigrams[next_token] + 1) / (self._total + size))
-        return math.log(1.0 / size)
+        rows, other = self._step_scores()
+        scores, unseen = rows.get(prev_token, other)
+        return scores.get(next_token, unseen)
 
-    def _step_scores(self) -> dict[str, tuple[dict[str, float], float]]:
-        """The beam's step scores, ``log_prob(next, prev)`` for every prev in {###} ∪ S.
+    def _step_scores(self) -> tuple[dict[str, _StepRow], _StepRow]:
+        """Every smoothed log the model gives, as rows of (scores by next, default).
 
-        Maps prev to the scores of its stored bigrams by next, and the score
-        of any other next, ``log(1 / (context_count(prev) + |S|))``.  These
-        are the floats :meth:`log_prob` computes.  The table is built on the
-        first call and kept: one entry per stored bigram plus one default per
-        context, so it is bounded by the model, not by what is segmented.
+        The first part maps each prev in {###} ∪ S to the scores of its
+        stored bigrams and ``log(1 / (context_count(prev) + |S|))`` for any
+        other next.  The second is the row of any other prev: the smoothed
+        unigram log of each next in S and ``log(1 / |S|)`` for any other
+        next.  The table is built on the first call and kept; its size is
+        bounded by the model, not by what is segmented.
         """
         if self._steps is None:
             size = self.size
@@ -197,10 +194,15 @@ class BigramModel:
             for (prev, nxt), count in self._bigrams.items():
                 rows[prev][nxt] = math.log((count + 1) / (contexts[prev] + size))
             unseen_only: dict[str, float] = {}
-            self._steps = {
+            known = {
                 prev: (rows.get(prev, unseen_only), math.log(1 / (contexts.get(prev, 0) + size)))
                 for prev in (START_SYMBOL, *self._unigrams)
             }
+            unigram = {
+                nxt: math.log((count + 1) / (self._total + size))
+                for nxt, count in self._unigrams.items()
+            }
+            self._steps = known, (unigram, math.log(1 / size))
         return self._steps
 
 
@@ -324,14 +326,12 @@ def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSeg
     fewer subwords and then lexicographically.  Multi-character candidates
     must be inventory members; single characters are always admissible.
 
-    Step scores come from :meth:`BigramModel._step_scores`; only a prev
-    outside S (a single character the model never saw) goes through
-    :meth:`BigramModel.log_prob`.
+    Step scores come from :meth:`BigramModel._step_scores`.
     """
     _check_token(word, "word", ArgumentError)
     if beam_size < 1:
         raise ArgumentError(f"beam_size must be at least 1, got {beam_size}")
-    steps = model._step_scores()
+    rows, other = model._step_scores()
     inventory = model._unigrams
     n = len(word)
     max_len = max(model.max_subword_length, 1)
@@ -346,14 +346,7 @@ def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSeg
             if piece in inventory:
                 admissible.append((end, piece))
         for score, count, sequence, prev in survivors:
-            step = steps.get(prev)
-            if step is None:
-                for end, piece in admissible:
-                    groups[end].append(
-                        (score + model.log_prob(piece, prev), count + 1, sequence + (piece,), piece)
-                    )
-                continue
-            scores, unseen = step
+            scores, unseen = rows.get(prev, other)
             for end, piece in admissible:
                 groups[end].append(
                     (score + scores.get(piece, unseen), count + 1, sequence + (piece,), piece)
@@ -378,8 +371,10 @@ def exact_segment(word: str, model: BigramModel) -> ScoredSegmentation:
     the previous subword, so one best hypothesis per state suffices.  The
     admissibility rule matches :func:`beam_segment`, and so does the tie
     order, which makes this the reference the beam is checked against.
+    Step scores come from :meth:`BigramModel._step_scores`, as in the beam.
     """
     _check_token(word, "word", ArgumentError)
+    rows, other = model._step_scores()
     n = len(word)
     max_len = max(model.max_subword_length, 1)
     states: list[dict[str, _Hypothesis]] = [{} for _ in range(n + 1)]
@@ -391,11 +386,8 @@ def exact_segment(word: str, model: BigramModel) -> ScoredSegmentation:
             if end - start > 1 and piece not in model:
                 continue
             for prev, (score, count, sequence) in states[start].items():
-                candidate = (
-                    score + model.log_prob(piece, prev),
-                    count + 1,
-                    sequence + (piece,),
-                )
+                scores, unseen = rows.get(prev, other)
+                candidate = (score + scores.get(piece, unseen), count + 1, sequence + (piece,))
                 incumbent = cell.get(piece)
                 if incumbent is None or _candidate_order(candidate) < _candidate_order(
                     incumbent

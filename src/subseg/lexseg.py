@@ -18,20 +18,21 @@ set changed, re-scores only the (word, substring) pairs of those rows, and
 moves the ids of changed words between the incidence rows in place.  The
 scores equal :func:`cosine` bit for bit, so refinement segments exactly as
 a full re-solve followed by per-word :func:`embedding_segment` calls would.
+A corpus is segmented with the result by passing its ``lexicon`` to
+:func:`subseg.textio.segment_corpus`.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from subseg.errors import ArgumentError, CoverageError, ValidationError
 from subseg.cooccur import CooccurrenceCounts
-from subseg import textio
 from subseg.subspace import (
     EmbeddingTable,
     SegmentationMatrix,
@@ -39,8 +40,8 @@ from subseg.subspace import (
     compute_subword_embeddings,
     default_ridge,
 )
-# Defined in textio, which imports no numpy; OOV_POLICIES is re-exported for
-# callers of segment_corpus, _candidate_order for the DP's tie order.
+# Defined in textio, which imports no numpy.  OOV_POLICIES stays importable
+# from its old home here; _candidate_order is the DP's tie order.
 from subseg.textio import (
     OOV_POLICIES,
     ScoredSegmentation,
@@ -419,9 +420,7 @@ def refine(
     # lexicon0, restricted to the rows the DP can use (substrings of lexicon
     # words), as sorted tuples; from the rebuild after it on, the rows are
     # sets updated in place.  Each piece keeps one row of ``vectors``.
-    augmented, matrix0 = build_segmentation_matrix(
-        word_embeddings.tokens, lexicon=lexicon0, augment_chars=True
-    )
+    augmented, matrix0 = build_segmentation_matrix(word_embeddings.tokens, lexicon=lexicon0)
     members: dict[str, Collection[int]] = {
         piece: row
         for piece, row in zip(augmented.tokens, matrix0.rows)
@@ -494,14 +493,3 @@ def refine(
         lexicon=SegmentedLexicon(current),
         history=tuple(history),
     )
-
-
-def segment_corpus(
-    lines: Iterable[str],
-    segmentations: RefinementState | SegmentedLexicon | Mapping[str, Sequence[str]],
-    oov_policy: str = "error",
-) -> Iterator[list[tuple[str, ...]]]:
-    """:func:`subseg.textio.segment_corpus` that also accepts a refinement result."""
-    if isinstance(segmentations, RefinementState):
-        segmentations = segmentations.lexicon
-    return textio.segment_corpus(lines, segmentations, oov_policy)

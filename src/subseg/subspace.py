@@ -639,15 +639,14 @@ def build_segmentation_matrix(
     word_tokens: Sequence[str],
     lexicon: SegmentedLexicon | None = None,
     max_substring_len: int | None = None,
-    augment_chars: bool = True,
 ) -> tuple[SubwordVocabulary, SegmentationMatrix]:
     """Build the subword-to-word incidence in one of two modes.
 
     Lexicon mode (``lexicon`` given): a subword is incident to the words
-    whose stored segmentation uses it.  With ``augment_chars`` every single
-    character of every word is added as a subword incident to all words
-    containing it, which guarantees that each word admits at least one
-    complete segmentation path.
+    whose stored segmentation uses it.  Every single character of every word
+    is also a subword, incident to all words containing it, which
+    guarantees that each word admits at least one complete segmentation
+    path.
 
     Enumeration mode (``max_substring_len`` given): every substring of
     every word up to the given length is a subword.
@@ -667,10 +666,9 @@ def build_segmentation_matrix(
                 raise ValidationError(f"lexicon word {word!r} is not in the vocabulary")
             for part in parts:
                 incidence.setdefault(part, set()).add(word_id)
-        if augment_chars:
-            for word, word_id in index.items():
-                for ch in set(word):
-                    incidence.setdefault(ch, set()).add(word_id)
+        for word, word_id in index.items():
+            for ch in set(word):
+                incidence.setdefault(ch, set()).add(word_id)
     else:
         if max_substring_len < 1:
             raise ArgumentError(f"max_substring_len must be at least 1, got {max_substring_len}")
@@ -682,40 +680,6 @@ def build_segmentation_matrix(
     subwords = SubwordVocabulary(sorted(incidence))
     rows = [sorted(incidence[token]) for token in subwords.tokens]
     return subwords, SegmentationMatrix(len(word_tokens), rows)
-
-
-def _zero_cell_error(row: int, column: int) -> NumericalError:
-    return NumericalError(
-        f"pooled count for subword row {row} and word column {column} is zero; "
-        "log target is undefined with smoothing 0"
-    )
-
-
-def smoothed_log_target(
-    matrix: SegmentationMatrix,
-    counts: CooccurrenceCounts,
-    smoothing: float = 0.1,
-) -> np.ndarray:
-    """Dense log targets: pooled co-occurrence rows, smoothed and normalized.
-
-    Row s is log((AC[s, .] + smoothing) / (sum_y AC[s, y] + smoothing |V|)),
-    so exp of every row sums to one.  The solver never builds this array;
-    it is the reference the sparse form in :func:`_sparse_log_target` is
-    tested against.
-    """
-    if not 0 <= smoothing < math.inf:
-        raise ArgumentError(f"smoothing must be finite and nonnegative, got {smoothing}")
-    if matrix.word_count != counts.vocab_size:
-        raise ValidationError(
-            f"matrix covers {matrix.word_count} words but counts cover {counts.vocab_size}"
-        )
-    pooled = (matrix.to_csr() @ counts.matrix()).toarray()
-    if smoothing == 0.0:
-        zero_rows, zero_cols = np.nonzero(pooled <= 0.0)
-        if zero_rows.size:
-            raise _zero_cell_error(int(zero_rows[0]), int(zero_cols[0]))
-    denominators = pooled.sum(axis=1) + smoothing * counts.vocab_size
-    return np.log((pooled + smoothing) / denominators[:, None])
 
 
 def _sparse_log_target(
@@ -731,7 +695,10 @@ def _sparse_log_target(
             row = int(short_rows[0])
             present = np.zeros(vocab_size, dtype=bool)
             present[pooled.indices[pooled.indptr[row] : pooled.indptr[row + 1]]] = True
-            raise _zero_cell_error(row, int(np.argmin(present)))
+            raise NumericalError(
+                f"pooled count for subword row {row} and word column "
+                f"{int(np.argmin(present))} is zero; log target is undefined with smoothing 0"
+            )
         pooled.data = np.log(pooled.data)
         return -np.log(totals), pooled
     pooled.data = np.log1p(pooled.data / smoothing)
@@ -808,36 +775,6 @@ def _ridge_factor(output_rows: EmbeddingTable, ridge: float) -> _RidgeFactor:
     return factor
 
 
-def right_inverse_solve(
-    targets: np.ndarray,
-    output_rows: EmbeddingTable,
-    ridge: float = 0.0,
-) -> np.ndarray:
-    """Solve rows X minimizing ||X W - T||_F^2 + ridge ||X||_F^2.
-
-    ``output_rows`` stores W transposed, one per-word output vector per row;
-    ``targets`` has one row per solved vector and |V| columns.  The result
-    equals T W^T (W W^T + ridge I)^{-1}, computed through the table's cached
-    projector.  A W that is rank-deficient at working precision raises with
-    ridge 0, suggesting a positive ridge; see ``_RidgeFactor``.
-    """
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim != 2:
-        raise ArgumentError(f"targets must be 2-dimensional, got shape {targets.shape}")
-    if targets.shape[1] != len(output_rows):
-        raise ArgumentError(
-            f"targets have {targets.shape[1]} columns but the output matrix covers "
-            f"{len(output_rows)} words"
-        )
-    if output_rows.dim > len(output_rows):
-        raise ArgumentError(
-            f"embedding dimension {output_rows.dim} exceeds vocabulary size {len(output_rows)}"
-        )
-    if not np.all(np.isfinite(targets)):
-        raise ValidationError("targets contain non-finite values")
-    return targets @ _ridge_factor(output_rows, ridge).projector
-
-
 def compute_subword_embeddings(
     subwords: SubwordVocabulary,
     matrix: SegmentationMatrix,
@@ -848,9 +785,9 @@ def compute_subword_embeddings(
 ) -> EmbeddingTable:
     """Pool, smooth, and solve: subword vectors in the word embedding space.
 
-    Equal, up to rounding, to ``right_inverse_solve(smoothed_log_target(...))``
-    but computed from the sparse-plus-constant form of the targets against
-    the output matrix's cached factor.  Each row depends only on its own
+    The dense targets T are never built: the solve T P is computed from
+    their sparse-plus-constant form (see the module docstring) against the
+    output matrix's cached factor.  Each row depends only on its own
     incidence row.  ``ridge=None`` selects the scale-aware default.
     """
     if len(subwords) != matrix.row_count:

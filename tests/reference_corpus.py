@@ -3,13 +3,16 @@
 The corpus stages once did their word-type work per token: ``segment-embed``
 looked up, copied and joined each token's pieces, ``distill`` split and
 tupled every line, ``segment`` joined each token's cached pieces, the bigram
-beam called ``BigramModel.log_prob`` once per extension, and ``init-bpe``
-segmented every vocabulary word with ``MergeRules``.  They now do that work
-once per distinct word or line.  These copies of the per-token versions are
-the oracle that the stages give the same bytes, models and scores.
+beam computed the smoothed log of every extension with its own call, and
+``init-bpe`` segmented every vocabulary word with ``MergeRules``.  They now
+do that work once per distinct word or line, and every smoothed log comes
+from one table per model.  These copies of the per-token versions are the
+oracle that the stages give the same bytes, models and scores.
 """
 
 from __future__ import annotations
+
+import math
 
 from subseg import bigram, textio
 from subseg.bigram import START_SYMBOL, BigramModel
@@ -60,8 +63,23 @@ def init_bpe_lexicon(lines, vocab_words, target_size):
     return textio.SegmentedLexicon((word, rules.segment(word)) for word in vocab_words)
 
 
+def log_prob(model: BigramModel, next_token: str, prev_token: str) -> float:
+    """Smoothed log P(next | prev), computed per call from the model's public counts."""
+    if not next_token:
+        raise ArgumentError("next token must be nonempty")
+    size = model.size
+    if size == 0:
+        raise ValidationError("model has an empty subword inventory")
+    if prev_token == START_SYMBOL or prev_token in model:
+        numerator = model.bigram_count(prev_token, next_token) + 1
+        return math.log(numerator / (model.context_count(prev_token) + size))
+    if next_token in model:
+        return math.log((model.unigram_count(next_token) + 1) / (model.total_tokens + size))
+    return math.log(1.0 / size)
+
+
 def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSegmentation:
-    """The bigram beam with one ``model.log_prob`` call per extension."""
+    """The bigram beam with one :func:`log_prob` call per extension."""
     _check_token(word, "word", ArgumentError)
     if beam_size < 1:
         raise ArgumentError(f"beam_size must be at least 1, got {beam_size}")
@@ -82,7 +100,7 @@ def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSeg
             for score, count, sequence in survivors:
                 prev = sequence[-1] if sequence else START_SYMBOL
                 groups[end].append(
-                    (score + model.log_prob(piece, prev), count + 1, sequence + (piece,))
+                    (score + log_prob(model, piece, prev), count + 1, sequence + (piece,))
                 )
     complete = _pruned(groups[n], beam_size)
     if not complete:

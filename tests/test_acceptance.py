@@ -421,7 +421,7 @@ def test_criterion_6_metric_correctness():
 def test_criterion_7_distillation_fidelity():
     lines, gold, _, _, _, _, state = _synthetic_refinement()
     segmented_words = [
-        " ".join(parts) for row in segment_corpus(lines, state) for parts in row
+        " ".join(parts) for row in segment_corpus(lines, state.lexicon) for parts in row
     ]
     model = distill(parts.split() for parts in segmented_words)
 

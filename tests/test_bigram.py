@@ -23,9 +23,11 @@ from subseg import (
 )
 from subseg.textio import _check_token
 
+import reference_corpus
+
 
 def _brute_force(word, model):
-    """Enumerate all splits and rescore them with the same accumulation."""
+    """Enumerate all splits and rescore them with the same accumulation of per-call logs."""
     n = len(word)
     best = None
     for mask in range(1 << (n - 1)):
@@ -41,7 +43,7 @@ def _brute_force(word, model):
         score = 0.0
         prev = START_SYMBOL
         for p in parts:
-            score = score + model.log_prob(p, prev)
+            score = score + reference_corpus.log_prob(model, p, prev)
             prev = p
         key = (-score, len(parts), tuple(parts))
         if best is None or key < best[0]:

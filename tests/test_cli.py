@@ -1,5 +1,6 @@
 import inspect
 import io
+import json
 import math
 import os
 import stat
@@ -580,9 +581,24 @@ def test_public_names_resolve_to_their_defining_modules():
     assert subspace.SubwordVocabulary is textio.SubwordVocabulary
     for name in ("OOV_POLICIES", "ScoredSegmentation", "SubwordVocabulary", "_candidate_order"):
         assert getattr(lexseg, name) is getattr(textio, name)
-    assert subseg.segment_corpus is lexseg.segment_corpus
+    assert subseg.segment_corpus is textio.segment_corpus
     with pytest.raises(AttributeError, match="no_such_name"):
         subseg.no_such_name
+
+
+def test_benchmark_tracer_runs_a_stage(tmp_path):
+    """``perfbench/tracer.py`` resolves package names when it installs its wrappers."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    (tmp_path / "corpus.txt").write_text("ab cd ab\ncd ef\n", encoding="utf-8")
+    spans = tmp_path / "spans.json"
+    argv = [str(tracer), str(spans), "vocab-1", "--", "vocab", "corpus.txt", "-o", "vocab.tsv"]
+    ran = _run_python(argv, b"", tmp_path)
+    assert ran.returncode == 0, ran.stderr
+    report = json.loads(spans.read_text(encoding="utf-8"))
+    assert (report["stage_id"], report["exit_code"]) == ("vocab-1", 0)
+    assert report["spans"] and "textio.build_vocabulary" in report["totals"]
+    assert set(report["counts"]) == {"lexseg.cosine", "bigram.BigramModel.log_prob"}
+    assert (tmp_path / "vocab.tsv").is_file()
 
 
 def test_usage_errors_exit_2(pipeline, tmp_path, capsys):

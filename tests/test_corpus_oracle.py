@@ -2,8 +2,8 @@
 
 ``init-bpe`` reuses the splits training ends with, ``distill`` splits each
 distinct line once, ``segment-embed`` joins each lexicon word's pieces
-once, and the bigram beam reads its step scores from a table built per
-model.  Each must give what ``reference_corpus`` gives: the same lexicon,
+once, and the bigram searches read their step scores from a table built
+per model.  Each must give what ``reference_corpus`` gives: the same lexicon,
 model and file bytes, the same first error, and the same segmentation and
 score, bit for bit.
 """
@@ -275,25 +275,43 @@ def test_beam_equals_the_per_call_beam_bit_for_bit(groups, words):
 @given(groups=st.lists(st.lists(_PIECES, min_size=1, max_size=4), min_size=1, max_size=12))
 @_SETTINGS
 def test_every_table_score_is_log_prob(groups):
+    """``z`` and ``abcd`` are outside every inventory, as prev and as next."""
     model = bigram.distill(groups)
     steps = model._step_scores()
-    assert set(steps) == {START_SYMBOL, *model.subwords}
+    rows, other = steps
+    assert set(rows) == {START_SYMBOL, *model.subwords}
+    assert set(other[0]) == set(model.subwords)
+    tokens = [*model.subwords, "z", "abcd"]
+    for prev in (START_SYMBOL, *tokens):
+        scores, unseen = rows.get(prev, other)
+        for nxt in tokens:
+            want = reference.log_prob(model, nxt, prev).hex()
+            assert scores.get(nxt, unseen).hex() == want
+            assert model.log_prob(nxt, prev).hex() == want
     stored = 0
-    for prev, (scores, unseen) in steps.items():
-        for nxt in model.subwords:
-            assert scores.get(nxt, unseen).hex() == model.log_prob(nxt, prev).hex()
-        assert unseen.hex() == model.log_prob("not-a-subword", prev).hex()
+    for prev, (scores, _) in rows.items():
         assert set(scores) == {nxt for nxt in model.subwords if model.bigram_count(prev, nxt)}
         stored += len(scores)
     assert stored == sum(1 for _ in model.bigram_items())
     assert model._step_scores() is steps
 
 
+def test_the_searches_make_no_log_prob_call():
+    model = bigram.distill([["ab", "c"], ["ab"], ["a", "bc"], ["c"]])
+    with mock.patch.object(BigramModel, "log_prob") as log_prob:
+        for word in ("abcab", "zab", "abzz"):
+            bigram.beam_segment(word, model)
+            bigram.exact_segment(word, model)
+    assert log_prob.call_count == 0
+
+
 def test_an_empty_inventory_is_a_validation_error():
     model = BigramModel({}, {})
-    for search in (bigram.beam_segment, reference.beam_segment):
+    for search in (bigram.beam_segment, bigram.exact_segment, reference.beam_segment):
         with pytest.raises(ValidationError, match="^model has an empty subword inventory$"):
             search("ab", model)
+    with pytest.raises(ValidationError, match="^model has an empty subword inventory$"):
+        model.log_prob("ab", START_SYMBOL)
     with pytest.raises(ValidationError, match="^model has an empty subword inventory$"):
         model._step_scores()
 
@@ -308,12 +326,12 @@ def test_segment_with_an_empty_inventory_exits_3(tmp_path):
 
 
 def test_scores_add_up_in_the_same_order():
-    """The table changes no sum: the score is the log_probs added from the left."""
+    """The table changes no sum: the score is the per-call logs added from the left."""
     model = bigram.distill([["ab", "c"], ["ab"], ["a", "bc"], ["c"]])
-    result = bigram.beam_segment("abcab", model)
-    total, prev = 0.0, START_SYMBOL
-    for piece in result.subwords:
-        total += model.log_prob(piece, prev)
-        prev = piece
-    assert result.score.hex() == total.hex()
-    assert math.isfinite(result.score)
+    for result in (bigram.beam_segment("abcab", model), bigram.exact_segment("abcab", model)):
+        total, prev = 0.0, START_SYMBOL
+        for piece in result.subwords:
+            total += reference.log_prob(model, piece, prev)
+            prev = piece
+        assert result.score.hex() == total.hex()
+        assert math.isfinite(result.score)

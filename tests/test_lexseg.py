@@ -17,15 +17,14 @@ from subseg import (
     default_ridge,
     embedding_segment,
     refine,
-    right_inverse_solve,
     segment_corpus,
-    smoothed_log_target,
 )
 
 from subseg import lexseg
 from subseg.lexseg import _split_at, _WordSubstrings
 from subseg.textio import ScoredSegmentation, _candidate_order
 
+from reference_solve import lexicon_incidence, right_inverse_solve, smoothed_log_target
 from synthdata import agglutinative_corpus, consistent_embeddings
 
 
@@ -458,9 +457,7 @@ def _reference_refine(lexicon0, embeddings, counts, output_rows, max_iters=10):
     """The full refinement loop: solve every row, then run the reference DP on every word."""
     words = sorted(lexicon0.words())
     current = {word: lexicon0[word] for word in words}
-    subwords, matrix = build_segmentation_matrix(
-        embeddings.tokens, lexicon=lexicon0, augment_chars=True
-    )
+    subwords, matrix = build_segmentation_matrix(embeddings.tokens, lexicon=lexicon0)
     history = []
     for iteration in range(1, max_iters + 1):
         solved = compute_subword_embeddings(subwords, matrix, counts, output_rows)
@@ -472,9 +469,7 @@ def _reference_refine(lexicon0, embeddings, counts, output_rows, max_iters=10):
         }
         changed = sum(resegmented[word] != current[word] for word in words)
         current = resegmented
-        subwords, matrix = build_segmentation_matrix(
-            embeddings.tokens, lexicon=SegmentedLexicon(current), augment_chars=False
-        )
+        subwords, matrix = lexicon_incidence(embeddings.tokens, SegmentedLexicon(current))
         history.append((iteration, changed, len(subwords)))
         if changed == 0:
             break
@@ -515,7 +510,7 @@ def test_refine_solves_fewer_rows_than_the_full_loop(monkeypatch):
 
     monkeypatch.setattr(lexseg, "compute_subword_embeddings", counting)
     state = refine(lexicon0, embeddings, counts, output_rows)
-    augmented, _ = build_segmentation_matrix(embeddings.tokens, lexicon=lexicon0, augment_chars=True)
+    augmented, _ = build_segmentation_matrix(embeddings.tokens, lexicon=lexicon0)
     full_loop = [len(augmented)] + [s.subword_count for s in state.history[:-1]]
     assert state.iterations > 1
     assert len(solved) <= len(full_loop)
@@ -540,15 +535,6 @@ def test_segment_corpus_known_words_only():
     lexicon = SegmentedLexicon({"undoing": ["un", "do", "ing"], "cats": ["cat", "s"]})
     rows = list(segment_corpus(["undoing cats", "cats"], lexicon))
     assert rows == [[("un", "do", "ing"), ("cat", "s")], [("cat", "s")]]
-
-
-def test_segment_corpus_accepts_refinement_state():
-    lexicon, embeddings, counts, output_rows = _two_word_setup()
-    state = refine(lexicon, embeddings, counts, output_rows)
-    rows = list(segment_corpus(["ab ba"], state))
-    assert rows == [[("ab",), ("ba",)]]
-    emitted = {piece for row in rows for parts in row for piece in parts}
-    assert emitted <= set(state.subwords.tokens)
 
 
 def test_segment_corpus_oov_policies():

@@ -21,12 +21,12 @@ from subseg import (
     compute_subword_embeddings,
     default_ridge,
     load_embeddings,
-    right_inverse_solve,
     save_embeddings,
-    smoothed_log_target,
 )
 from subseg import cooccur, subspace
 from subseg.subspace import _RidgeFactor
+
+from reference_solve import lexicon_incidence, right_inverse_solve, smoothed_log_target
 
 
 # Row-relative agreement required between the sparse solve and the dense
@@ -441,7 +441,7 @@ def test_enumeration_mode_lists_all_substrings():
 def test_incidence_is_binary_not_a_count():
     # "a" occurs twice inside "aba" but the row marks the word once
     lexicon = SegmentedLexicon({"aba": ["ab", "a"]})
-    subwords, matrix = build_segmentation_matrix(["aba"], lexicon=lexicon, augment_chars=False)
+    subwords, matrix = build_segmentation_matrix(["aba"], lexicon=lexicon)
     assert matrix.row(subwords.token_id("a")) == (0,)
     dense = matrix.to_csr().toarray()
     assert set(np.unique(dense)) <= {0.0, 1.0}
@@ -510,8 +510,11 @@ def test_log_target_smoothing_fills_zeros():
 def test_log_target_zero_entry_without_smoothing_names_cell():
     counts = _counts_from_dense([[3, 0], [0, 1]])
     row_for_word0 = SegmentationMatrix(2, [(0,)])
+    table = EmbeddingTable(["a", "b"], np.eye(2))
     with pytest.raises(NumericalError, match=r"row 0.*column 1"):
-        smoothed_log_target(row_for_word0, counts, smoothing=0.0)
+        compute_subword_embeddings(
+            SubwordVocabulary(["a"]), row_for_word0, counts, table, smoothing=0.0
+        )
 
 
 def test_log_target_rows_exponentiate_to_unit_sums():
@@ -531,14 +534,20 @@ def test_log_target_rows_exponentiate_to_unit_sums():
 
 def test_log_target_rejects_negative_smoothing():
     counts = _counts_from_dense([[1]])
+    table = EmbeddingTable(["a"], np.eye(1))
     with pytest.raises(ArgumentError, match="smoothing"):
-        smoothed_log_target(SegmentationMatrix(1, [(0,)]), counts, smoothing=-0.5)
+        compute_subword_embeddings(
+            SubwordVocabulary(["a"]), SegmentationMatrix(1, [(0,)]), counts, table, smoothing=-0.5
+        )
 
 
 def test_log_target_checks_dimension_agreement():
     counts = _counts_from_dense([[1]])
-    with pytest.raises(ValidationError):
-        smoothed_log_target(SegmentationMatrix(2, [(0, 1)]), counts)
+    table = EmbeddingTable(["a", "b"], np.eye(2))
+    with pytest.raises(ValidationError, match="word coverage mismatch"):
+        compute_subword_embeddings(
+            SubwordVocabulary(["a"]), SegmentationMatrix(2, [(0, 1)]), counts, table
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -585,29 +594,21 @@ def test_ridge_shrinks_solution_norm():
 def test_rank_deficient_without_ridge_advises_ridge():
     rows = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # rank 1
     table = EmbeddingTable(["a", "b", "c"], rows)
+    counts = _counts_from_dense([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    subwords, matrix = SubwordVocabulary(["a"]), SegmentationMatrix(3, [(0,)])
     with pytest.raises(NumericalError, match="ridge"):
-        right_inverse_solve(np.zeros((1, 3)), table, ridge=0.0)
+        compute_subword_embeddings(subwords, matrix, counts, table, ridge=0.0)
     # a positive ridge makes the same system solvable
-    solved = right_inverse_solve(np.ones((1, 3)), table, ridge=1e-3)
-    assert np.isfinite(solved).all()
+    solved = compute_subword_embeddings(subwords, matrix, counts, table, ridge=1e-3)
+    assert np.isfinite(solved.vectors).all()
 
 
-def test_solver_rejects_wide_embeddings():
-    table = EmbeddingTable(["a", "b"], np.zeros((2, 3)))
-    with pytest.raises(ArgumentError):
-        right_inverse_solve(np.zeros((1, 2)), table, ridge=1.0)
-
-
-def test_solver_rejects_bad_targets():
-    table = EmbeddingTable(["a", "b"], np.zeros((2, 2)))
-    with pytest.raises(ArgumentError):
-        right_inverse_solve(np.zeros(2), table, ridge=1.0)
-    with pytest.raises(ArgumentError):
-        right_inverse_solve(np.zeros((1, 3)), table, ridge=1.0)
-    with pytest.raises(ValidationError, match="non-finite"):
-        right_inverse_solve(np.array([[np.nan, 0.0]]), table, ridge=1.0)
+def test_solver_rejects_negative_ridge():
+    table = EmbeddingTable(["a", "b"], np.eye(2))
+    counts = _counts_from_dense([[1, 1], [1, 1]])
+    subwords, matrix = SubwordVocabulary(["a"]), SegmentationMatrix(2, [(0,)])
     with pytest.raises(ArgumentError, match="ridge"):
-        right_inverse_solve(np.zeros((1, 2)), table, ridge=-1.0)
+        compute_subword_embeddings(subwords, matrix, counts, table, ridge=-1.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -616,13 +617,9 @@ def test_non_finite_ridge_and_smoothing_are_argument_errors(value):
     counts = _counts_from_dense([[1, 1], [1, 1]])
     subwords, matrix = SubwordVocabulary(["a"]), SegmentationMatrix(2, [(0,)])
     with pytest.raises(ArgumentError, match="ridge must be finite"):
-        right_inverse_solve(np.zeros((1, 2)), table, ridge=value)
-    with pytest.raises(ArgumentError, match="ridge must be finite"):
         compute_subword_embeddings(subwords, matrix, counts, table, ridge=value)
     with pytest.raises(ArgumentError, match="smoothing must be finite"):
         compute_subword_embeddings(subwords, matrix, counts, table, smoothing=value)
-    with pytest.raises(ArgumentError, match="smoothing must be finite"):
-        smoothed_log_target(matrix, counts, smoothing=value)
 
 
 # The Gram-matrix projector has a normwise relative error of about
@@ -738,7 +735,7 @@ def test_single_word_subword_solves_that_words_row():
     rows = rng.normal(size=(2, 2)) + np.eye(2) * 2
     table = EmbeddingTable(words, rows)
     lexicon = SegmentedLexicon({"ab": ["ab"], "cd": ["cd"]})
-    subwords, matrix = build_segmentation_matrix(words, lexicon=lexicon, augment_chars=False)
+    subwords, matrix = lexicon_incidence(words, lexicon)
     ridge = default_ridge(table)
     result = compute_subword_embeddings(subwords, matrix, counts, table)
     # "ab" pools only word "ab", so its row solves exactly that word's target
@@ -782,8 +779,8 @@ def test_extra_rows_do_not_change_existing_solutions():
     table = EmbeddingTable(words, rng.normal(size=(2, 2)) + np.eye(2) * 2)
     small = SegmentedLexicon({"ab": ["ab"]})
     big = SegmentedLexicon({"ab": ["ab"], "cd": ["c", "d"]})
-    sub_small, m_small = build_segmentation_matrix(words, lexicon=small, augment_chars=False)
-    sub_big, m_big = build_segmentation_matrix(words, lexicon=big, augment_chars=False)
+    sub_small, m_small = lexicon_incidence(words, small)
+    sub_big, m_big = lexicon_incidence(words, big)
     small_result = compute_subword_embeddings(sub_small, m_small, counts, table)
     big_result = compute_subword_embeddings(sub_big, m_big, counts, table)
     assert np.array_equal(small_result.vector("ab"), big_result.vector("ab"))
@@ -846,8 +843,6 @@ def test_zero_pooled_cell_without_smoothing_names_cell_in_solve():
     subwords = SubwordVocabulary(["s0", "s1"])
     with pytest.raises(NumericalError, match=r"row 1 and word column 1 is zero"):
         compute_subword_embeddings(subwords, matrix, counts, table, smoothing=0.0)
-    with pytest.raises(NumericalError, match=r"row 1 and word column 1 is zero"):
-        smoothed_log_target(matrix, counts, smoothing=0.0)
     # pooling words 0 and 1 fills every column, so the same counts solve
     pooled_rows = SegmentationMatrix(3, [(2,), (0, 1)])
     solved = compute_subword_embeddings(subwords, pooled_rows, counts, table, smoothing=0.0)
