@@ -16,8 +16,13 @@ changes no word.  It is incremental and exact: each solved row depends
 only on its own incidence row, so a pass solves only the rows whose word
 set changed, re-scores only the (word, substring) pairs of those rows, and
 moves the ids of changed words between the incidence rows in place.  The
-scores equal :func:`cosine` bit for bit, so refinement segments exactly as
-a full re-solve followed by per-word :func:`embedding_segment` calls would.
+(word, substring) pairs are numbered once, by ``np.unique`` over every
+span of every word, and a pass re-scores them in blocks of
+``_GATHER_BYTES`` per gathered operand.  Its rows are solved by the array
+solve under :func:`subseg.subspace.compute_subword_embeddings`, from CSR
+arrays built from the per-piece word-id sets.  The scores equal
+:func:`cosine` bit for bit, so refinement segments exactly as a full
+re-solve followed by per-word :func:`embedding_segment` calls would.
 A corpus is segmented with the result by passing its ``lexicon`` to
 :func:`subseg.textio.segment_corpus`.
 """
@@ -25,9 +30,9 @@ A corpus is segmented with the result by passing its ``lexicon`` to
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -36,18 +41,19 @@ from subseg.cooccur import CooccurrenceCounts
 from subseg.subspace import (
     EmbeddingTable,
     SegmentationMatrix,
+    _check_smoothing,
+    _incidence_csr,
+    _solve_incidence,
     build_segmentation_matrix,
-    compute_subword_embeddings,
     default_ridge,
 )
 # Defined in textio, which imports no numpy.  OOV_POLICIES stays importable
-# from its old home here; _candidate_order is the DP's tie order.
+# from its old home here.
 from subseg.textio import (
     OOV_POLICIES,
     ScoredSegmentation,
     SegmentedLexicon,
     SubwordVocabulary,
-    _candidate_order,
     _check_token,
 )
 
@@ -89,12 +95,11 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-# Pairs scored per block; bounds the two gathered (block, dim) arrays.
-_PAIR_BLOCK = 4096
-# Piece norms computed per gather.  One gather as large as a pair block,
-# freed just before the pair blocks, raised refine's peak RSS by 0.2 MB:
-# glibc's malloc then serves the pair blocks from a heap it grows and keeps.
-_NORM_ROWS = 256
+# Bytes of each operand :meth:`_WordSubstrings.score` gathers at a time:
+# 1,024 rows at d = 64, 218 at d = 300.  Blocks this size stay in a core's
+# cache between the gather and the dot; blocks of 4,096 rows took 2-3 times
+# as long at either dim.
+_GATHER_BYTES = 1 << 19
 
 
 def _row_norms(vectors: np.ndarray) -> np.ndarray:
@@ -135,11 +140,15 @@ class _WordSubstrings:
     are grouped by length n, and each group keeps a (k, n, n + 1) int32
     table from span (start, end) of each of its k words to that span's pair;
     cells with end <= start hold -1, which indexes the padding entry kept
-    at the end of the pair arrays and is never present.  Pair cosines
-    persist between :meth:`score` calls, so a call only recomputes the pairs
-    of the pieces it is given.  Word norms are computed once, here, and a
-    call computes each of its pieces' norms once, however many words share
-    the piece.
+    at the end of the pair arrays and is never present.  Pieces are numbered
+    by first occurrence over the spans of all words, group by group, and
+    pairs in order of (word position, piece id): ``np.unique`` of one such
+    key per span numbers them and maps every span to its pair.  Pair
+    cosines persist between :meth:`score` calls, so a call only recomputes
+    the pairs of the pieces it is given, ``_GATHER_BYTES`` of each gathered
+    operand at a time.  Word norms are computed once, here, and a call
+    computes each of its pieces' norms once, however many words share the
+    piece.
     """
 
     def __init__(self, words: Sequence[str], word_vectors: np.ndarray):
@@ -149,35 +158,37 @@ class _WordSubstrings:
         by_length: dict[int, list[int]] = {}
         for position, word in enumerate(words):
             by_length.setdefault(len(word), []).append(position)
-        # Pairs are numbered word by word in group order; each word's pairs
-        # follow the first occurrence of their piece in the span order.
-        pair_pieces: list[str] = []
-        pair_counts: list[int] = []
-        ordered: list[int] = []
-        self.groups: list[tuple[np.ndarray, np.ndarray]] = []
-        for n, positions in sorted(by_length.items()):
-            spans = [(start, end) for start in range(n) for end in range(start + 1, n + 1)]
-            pairs = array("i")
-            for position in positions:
-                word = words[position]
-                pieces = [word[start:end] for start, end in spans]
-                distinct = dict.fromkeys(pieces)
-                pair_ids = dict(zip(distinct, range(len(pair_pieces), len(pair_pieces) + len(distinct))))
-                pairs.extend(map(pair_ids.__getitem__, pieces))
-                pair_pieces.extend(distinct)
-                pair_counts.append(len(distinct))
-            table = np.full((len(positions), n, n + 1), -1, dtype=np.int32)
-            starts, ends = np.array(spans).T
-            table[:, starts, ends] = np.frombuffer(pairs, dtype=np.intc).reshape(len(positions), -1)
-            self.groups.append((np.array(positions, dtype=np.intp), table))
-            ordered.extend(positions)
-        self.piece_ids = {piece: i for i, piece in enumerate(dict.fromkeys(pair_pieces))}
-        self.pair_piece = np.fromiter(
-            map(self.piece_ids.__getitem__, pair_pieces), dtype=np.int32, count=len(pair_pieces)
+        groups = sorted(by_length.items())
+        spans = {
+            n: [(start, end) for start in range(n) for end in range(start + 1, n + 1)] for n in by_length
+        }
+        self.piece_ids: dict[str, int] = {}
+        span_pieces = [
+            self.piece_ids.setdefault(words[position][start:end], len(self.piece_ids))
+            for n, positions in groups
+            for position in positions
+            for start, end in spans[n]
+        ]
+        ordered = np.array([position for _, positions in groups for position in positions], dtype=np.int64)
+        lengths = np.array([len(words[position]) for position in ordered.tolist()], dtype=np.int64)
+        span_words = np.repeat(ordered, lengths * (lengths + 1) // 2)
+        keys, span_pairs = np.unique(
+            span_words * len(self.piece_ids) + np.array(span_pieces, dtype=np.int64), return_inverse=True
         )
-        self.pair_word = np.repeat(np.array(ordered, dtype=np.int32), pair_counts)
-        self.cosines = np.zeros(len(pair_pieces) + 1, dtype=np.float64)
-        self.present = np.zeros(len(pair_pieces) + 1, dtype=bool)
+        self.pair_word, self.pair_piece = (
+            part.astype(np.int32) for part in np.divmod(keys, len(self.piece_ids))
+        )
+        self.groups: list[tuple[np.ndarray, np.ndarray]] = []
+        offset = 0
+        for n, positions in groups:
+            table = np.full((len(positions), n, n + 1), -1, dtype=np.int32)
+            starts, ends = np.array(spans[n]).T
+            size = len(positions) * len(starts)
+            table[:, starts, ends] = span_pairs[offset : offset + size].reshape(len(positions), -1)
+            offset += size
+            self.groups.append((np.array(positions, dtype=np.intp), table))
+        self.cosines = np.zeros(keys.size + 1, dtype=np.float64)
+        self.present = np.zeros(keys.size + 1, dtype=bool)
 
     def score(
         self, vectors: np.ndarray, piece_row: np.ndarray, pieces: Sequence[int] | None = None
@@ -196,14 +207,15 @@ class _WordSubstrings:
             chosen[list(pieces)] = True
             wanted &= chosen
         todo = np.flatnonzero(wanted[self.pair_piece])
+        block_rows = max(1, _GATHER_BYTES // (vectors.shape[1] * vectors.itemsize))
         # Only the rows of wanted pieces are read, each norm computed once.
         norms = np.empty(len(vectors), dtype=np.float64)
         needed = piece_row[wanted]
-        for lo in range(0, needed.size, _NORM_ROWS):
-            chunk = needed[lo : lo + _NORM_ROWS]
+        for lo in range(0, needed.size, block_rows):
+            chunk = needed[lo : lo + block_rows]
             norms[chunk] = _row_norms(vectors[chunk])
-        for lo in range(0, todo.size, _PAIR_BLOCK):
-            block = todo[lo : lo + _PAIR_BLOCK]
+        for lo in range(0, todo.size, block_rows):
+            block = todo[lo : lo + block_rows]
             word_ids, piece_rows = self.pair_word[block], rows[block]
             self.cosines[block] = _pair_cosines(
                 self.word_vectors[word_ids],
@@ -391,7 +403,11 @@ def refine(
     so only rows whose word set changed are solved again, and only rows
     that are substrings of some lexicon word are solved at all; only the
     (word, piece) cosines of re-solved pieces are recomputed; and the
-    incidence is updated in place from the words that changed.
+    incidence is updated in place from the words that changed.  The solve
+    and the output matrix are checked as :func:`compute_subword_embeddings`
+    checks them: a bad ``smoothing`` before any work, and a matrix with more
+    dimensions than words or a ridge that does not regularize it at the
+    first solve.
     """
     _check_alpha(alpha)
     if max_iters < 1:
@@ -408,6 +424,7 @@ def refine(
     for word in lexicon0.words():
         if word not in word_embeddings:
             raise ValidationError(f"lexicon word {word!r} has no word embedding")
+    _check_smoothing(smoothing)
 
     if ridge is None:
         ridge = default_ridge(output_rows)
@@ -435,23 +452,27 @@ def refine(
     for iteration in range(1, max_iters + 1):
         ids = [substrings.piece_ids[piece] for piece in dirty]
         if dirty:
-            solved = compute_subword_embeddings(
-                SubwordVocabulary(dirty),
-                SegmentationMatrix(counts.vocab_size, [sorted(members[p]) for p in dirty]),
-                counts,
-                output_rows,
-                smoothing=smoothing,
-                ridge=ridge,
-            )
-            vectors[piece_row[ids]] = solved.vectors
+            incidence = _incidence_csr([members[piece] for piece in dirty], counts.vocab_size)
+            vectors[piece_row[ids]] = _solve_incidence(incidence, counts, output_rows, smoothing, ridge)
         substrings.score(vectors, piece_row, ids)
         changed = 0
         touched: set[str] = set()
         for group, (positions, _, cuts) in enumerate(substrings.segment(alpha)):
-            for row in np.flatnonzero((cuts != masks[group]).any(axis=1)).tolist():
-                position = int(positions[row])
+            moved = np.flatnonzero((cuts != masks[group]).any(axis=1))
+            masks[group] = cuts
+            if not moved.size:
+                continue
+            # Each piece runs from the cut before its end, or from 0 after
+            # the previous word's last cut, which is at the end n.
+            cut = cuts[moved]
+            _, ends = np.nonzero(cut)
+            starts = np.roll(ends, 1)
+            starts[starts == cut.shape[1] - 1] = 0
+            pieces = zip(starts.tolist(), ends.tolist())
+            for position, count in zip(positions[moved].tolist(), np.count_nonzero(cut, axis=1).tolist()):
                 word, word_id = words[position], word_ids[position]
-                old, new = set(current[word]), _split_at(word, cuts[row])
+                new = tuple(word[start:end] for start, end in islice(pieces, count))
+                old = set(current[word])
                 current[word] = new
                 changed += 1
                 if iteration > 1:
@@ -461,7 +482,6 @@ def refine(
                     for piece in set(new).difference(old):
                         members[piece].add(word_id)
                         touched.add(piece)
-            masks[group] = cuts
         if iteration == 1:
             # From here on the incidence is that of the segmentations alone.
             fresh: dict[str, set[int]] = {}

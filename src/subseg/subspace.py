@@ -65,8 +65,9 @@ import stat
 import tempfile
 import threading
 import warnings
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from contextlib import closing
+from itertools import chain
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, NoReturn, TypeVar
 
@@ -614,17 +615,7 @@ class SegmentationMatrix:
         return self._rows[subword_id]
 
     def to_csr(self) -> sparse.csr_matrix:
-        from scipy import sparse  # deferred like CooccurrenceCounts.matrix
-
-        indptr = [0]
-        indices: list[int] = []
-        for row in self._rows:
-            indices.extend(row)
-            indptr.append(len(indices))
-        data = np.ones(len(indices), dtype=np.float64)
-        return sparse.csr_matrix(
-            (data, indices, indptr), shape=(len(self._rows), self._word_count)
-        )
+        return _incidence_csr(self._rows, self._word_count)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SegmentationMatrix):
@@ -633,6 +624,23 @@ class SegmentationMatrix:
 
     def __repr__(self) -> str:
         return f"SegmentationMatrix({self.row_count} subwords x {self._word_count} words)"
+
+
+def _incidence_csr(rows: Sequence[Collection[int]], word_count: int) -> sparse.csr_matrix:
+    """The binary incidence whose row i holds the distinct word ids ``rows[i]``.
+
+    Each row's ids are sorted here: the pooled rows, and so the order in
+    which a solved row sums its terms, follow the order of its ids.
+    """
+    from scipy import sparse  # deferred like CooccurrenceCounts.matrix
+
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=indptr[-1])
+    data = np.ones(len(indices), dtype=np.float64)
+    incidence = sparse.csr_matrix((data, indices, indptr), shape=(len(rows), word_count))
+    incidence.sort_indices()  # a no-op on sorted rows, such as a SegmentationMatrix's
+    return incidence
 
 
 def build_segmentation_matrix(
@@ -683,10 +691,10 @@ def build_segmentation_matrix(
 
 
 def _sparse_log_target(
-    matrix: SegmentationMatrix, counts: CooccurrenceCounts, smoothing: float
+    incidence: sparse.csr_matrix, counts: CooccurrenceCounts, smoothing: float
 ) -> tuple[np.ndarray, sparse.csr_matrix]:
     """The log targets as (c, S) with T[s, :] = c[s] + S[s, :]; see the module docstring."""
-    pooled = matrix.to_csr() @ counts.matrix()
+    pooled = incidence @ counts.matrix()
     totals = np.asarray(pooled.sum(axis=1)).ravel()
     vocab_size = counts.vocab_size
     if smoothing == 0.0:
@@ -703,6 +711,11 @@ def _sparse_log_target(
         return -np.log(totals), pooled
     pooled.data = np.log1p(pooled.data / smoothing)
     return math.log(smoothing) - np.log(totals + smoothing * vocab_size), pooled
+
+
+def _check_smoothing(smoothing: float) -> None:
+    if not 0 <= smoothing < math.inf:
+        raise ArgumentError(f"smoothing must be finite and nonnegative, got {smoothing}")
 
 
 def default_ridge(output_rows: EmbeddingTable) -> float:
@@ -767,7 +780,13 @@ def _ridge_factor(output_rows: EmbeddingTable, ridge: float) -> _RidgeFactor:
 
     Only the most recent ridge is kept, so solving repeatedly against one
     table with one ridge (as :func:`subseg.lexseg.refine` does) factorizes once.
+    A table with more dimensions than words is refused: the solve would be
+    underdetermined, however the ridge regularizes it.
     """
+    if output_rows.dim > len(output_rows):
+        raise ArgumentError(
+            f"embedding dimension {output_rows.dim} exceeds vocabulary size {len(output_rows)}"
+        )
     factor = output_rows._factor
     if factor is None or factor.ridge != ridge:
         factor = _RidgeFactor(output_rows.vectors, ridge)
@@ -788,7 +807,9 @@ def compute_subword_embeddings(
     The dense targets T are never built: the solve T P is computed from
     their sparse-plus-constant form (see the module docstring) against the
     output matrix's cached factor.  Each row depends only on its own
-    incidence row.  ``ridge=None`` selects the scale-aware default.
+    incidence row.  ``ridge=None`` selects the scale-aware default.  An
+    output matrix with more dimensions than words is refused with an
+    argument error.
     """
     if len(subwords) != matrix.row_count:
         raise ValidationError(
@@ -799,14 +820,31 @@ def compute_subword_embeddings(
             "word coverage mismatch: matrix "
             f"{matrix.word_count}, counts {counts.vocab_size}, output rows {len(output_rows)}"
         )
-    if not 0 <= smoothing < math.inf:
-        raise ArgumentError(f"smoothing must be finite and nonnegative, got {smoothing}")
+    _check_smoothing(smoothing)
     if ridge is None:
         ridge = default_ridge(output_rows)
+    return EmbeddingTable._owning(
+        subwords.tokens, _solve_incidence(matrix.to_csr(), counts, output_rows, smoothing, ridge)
+    )
+
+
+def _solve_incidence(
+    incidence: sparse.csr_matrix,
+    counts: CooccurrenceCounts,
+    output_rows: EmbeddingTable,
+    smoothing: float,
+    ridge: float,
+) -> np.ndarray:
+    """The solved vector of each row of ``incidence`` (see :func:`_incidence_csr`).
+
+    The inputs are not checked: :func:`compute_subword_embeddings` checks
+    its public inputs before calling this, and :func:`subseg.lexseg.refine`
+    checks its own once and calls this on the rows each pass re-solves.
+    """
     factor = _ridge_factor(output_rows, ridge)
-    constants, logs = _sparse_log_target(matrix, counts, smoothing)
+    constants, logs = _sparse_log_target(incidence, counts, smoothing)
     vectors = logs @ factor.projector
     vectors += np.outer(constants, factor.column_sums)
     if not np.all(np.isfinite(vectors)):
         raise NumericalError("subword solve produced non-finite vectors")
-    return EmbeddingTable._owning(subwords.tokens, vectors)
+    return vectors

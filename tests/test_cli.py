@@ -579,7 +579,7 @@ def test_public_names_resolve_to_their_defining_modules():
         assert value is getattr(home, name), name
     # Moved names stay importable from their old modules as the same objects.
     assert subspace.SubwordVocabulary is textio.SubwordVocabulary
-    for name in ("OOV_POLICIES", "ScoredSegmentation", "SubwordVocabulary", "_candidate_order"):
+    for name in ("OOV_POLICIES", "ScoredSegmentation", "SubwordVocabulary"):
         assert getattr(lexseg, name) is getattr(textio, name)
     assert subseg.segment_corpus is textio.segment_corpus
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -764,6 +764,28 @@ def test_ridge_0_on_a_rank_deficient_output_matrix_exits_4(pipeline, tmp_path, c
     assert "pass a positive ridge" in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
     assert main(args) == 0  # the default ridge regularizes it
+
+
+def test_an_output_matrix_wider_than_its_words_exits_2(tmp_path, capsys):
+    from subseg import SegmentedLexicon
+
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("ab ba ab\nba ab\n", encoding="utf-8")
+    vocab, counts = tmp_path / "vocab.tsv", tmp_path / "counts.tsv"
+    assert main(["vocab", str(corpus), "-o", str(vocab)]) == 0
+    assert main(["cooc", str(corpus), "--vocab", str(vocab), "-o", str(counts)]) == 0
+    tokens = load_vocabulary(vocab).tokens
+    rng = np.random.default_rng(0)
+    for name in ("W.txt", "E.txt"):
+        save_embeddings(EmbeddingTable(tokens, rng.normal(size=(2, 3))), tmp_path / name)
+    save_lexicon(SegmentedLexicon({"ab": ["ab"], "ba": ["b", "a"]}), tmp_path / "lex.tsv")
+    common = ["--vocab", str(vocab), "--counts", str(counts), "--output-matrix", str(tmp_path / "W.txt")]
+    common += ["--lexicon", str(tmp_path / "lex.tsv")]
+    out = tmp_path / "never.txt"
+    for stage in (["subword-embed"], ["refine", "--embeddings", str(tmp_path / "E.txt")]):
+        assert main([*stage, *common, "-o", str(out)]) == 2
+        assert "embedding dimension 3 exceeds vocabulary size 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_io_errors_exit_5(tmp_path, capsys):

@@ -244,18 +244,29 @@ def test_batched_similarities_equal_cosine_bitwise(dim):
         assert batched.cosines[pair] == want
 
 
-def test_rescoring_pieces_shared_across_pair_blocks_equals_cosine_bitwise(monkeypatch):
-    # At d = 300, with blocks of 7 pairs and 3 norms, a piece's pairs span
-    # several blocks and calls; word norms are computed once, piece norms
-    # once per call.
-    monkeypatch.setattr(lexseg, "_PAIR_BLOCK", 7)
-    monkeypatch.setattr(lexseg, "_NORM_ROWS", 3)
-    dim = 300
+@pytest.mark.parametrize(
+    "dim, budget",
+    [
+        (300, 7 * 300 * 8),  # blocks of 7 rows
+        (64, 7 * 64 * 8),
+        (300, 1),  # below one row: blocks of 1
+        (300, None),  # the default budget: blocks of 218 rows at d = 300
+    ],
+)
+def test_rescoring_pieces_shared_across_pair_blocks_equals_cosine_bitwise(monkeypatch, dim, budget):
+    # A piece's pairs span several blocks and calls; word norms are computed
+    # once, piece norms once per call.
+    if budget is not None:
+        monkeypatch.setattr(lexseg, "_GATHER_BYTES", budget)
     rng = np.random.default_rng(dim)
     words = ["abab", "babba", "ab", "bbb", "aabba", "b"]
+    longer = {"".join(rng.choice(list("abc"), size=rng.integers(5, 10))) for _ in range(40)}
+    words += sorted(longer - set(words))
     word_vectors = rng.normal(size=(len(words), dim)) * rng.choice([1e-3, 1.0, 1e3], size=(len(words), 1))
     word_vectors[3] = 0.0
     batched = _WordSubstrings(words, word_vectors)
+    block_rows = max(1, lexseg._GATHER_BYTES // (dim * 8))
+    assert batched.pair_piece.size > 2 * block_rows
     pieces = list(batched.piece_ids)
     # Rows in another order than piece ids, one piece without a row.
     piece_row = rng.permutation(len(pieces))
@@ -330,6 +341,101 @@ def test_batched_dp_equals_reference_dp(words, all_chars, alpha, data):
             want = expected[position]
             assert _split_at(words[position], mask) == want.subwords
             assert np.float64(score).view(np.int64) == np.float64(want.score).view(np.int64)
+
+
+def _per_word_substrings(words, word_vectors):
+    """A :class:`_WordSubstrings` whose pair table is built one span at a time, word by word.
+
+    Each word's pairs are numbered in order of their piece's first span, and
+    pieces in order of their first pair: the table before ``np.unique``
+    numbered it.
+    """
+    substrings = _WordSubstrings(words, word_vectors)
+    by_length = {}
+    for position, word in enumerate(words):
+        by_length.setdefault(len(word), []).append(position)
+    pair_pieces, pair_words, groups = [], [], []
+    for n, positions in sorted(by_length.items()):
+        table = np.full((len(positions), n, n + 1), -1, dtype=np.int32)
+        for row, position in enumerate(positions):
+            pair_ids = {}
+            for start in range(n):
+                for end in range(start + 1, n + 1):
+                    piece = words[position][start:end]
+                    if piece not in pair_ids:
+                        pair_ids[piece] = len(pair_pieces)
+                        pair_pieces.append(piece)
+                        pair_words.append(position)
+                    table[row, start, end] = pair_ids[piece]
+        groups.append((np.array(positions, dtype=np.intp), table))
+    substrings.piece_ids = {piece: i for i, piece in enumerate(dict.fromkeys(pair_pieces))}
+    substrings.pair_piece = np.array([substrings.piece_ids[p] for p in pair_pieces], dtype=np.int32)
+    substrings.pair_word = np.array(pair_words, dtype=np.int32)
+    substrings.groups = groups
+    substrings.cosines = np.zeros(len(pair_pieces) + 1)
+    substrings.present = np.zeros(len(pair_pieces) + 1, dtype=bool)
+    return substrings
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    words=st.lists(st.text(alphabet="abc", min_size=1, max_size=7), min_size=1, max_size=8, unique=True),
+    alpha=st.sampled_from([0.0, 0.5, 1.0, -0.25]),
+    data=st.data(),
+)
+def test_pair_table_equals_the_per_word_table_through_the_dp(words, alpha, data):
+    # Words in any order: groups keep list order, and so does the coverage error.
+    substrings = sorted({w[i:j] for w in words for i in range(len(w)) for j in range(i + 1, len(w) + 1)})
+    keep = data.draw(st.lists(st.booleans(), min_size=len(substrings), max_size=len(substrings)))
+    # A first character may lack a vector, so some draws leave a word uncovered.
+    tokens = {piece for piece, kept in zip(substrings, keep) if kept}
+    tokens = sorted(tokens | {ch for w in words for ch in w[1:]})
+    pick = st.integers(0, len(_VECTOR_POOL) - 1)
+    table = EmbeddingTable(
+        tokens,
+        _VECTOR_POOL[data.draw(st.lists(pick, min_size=len(tokens), max_size=len(tokens)))].reshape(-1, 2),
+    )
+    word_vectors = _VECTOR_POOL[data.draw(st.lists(pick, min_size=len(words), max_size=len(words)))]
+
+    batched = _WordSubstrings(words, word_vectors)
+    reference = _per_word_substrings(words, word_vectors)
+    # Every span maps to the pair of its own word and substring, and no
+    # (word, piece) pair is numbered twice.
+    assert batched.piece_ids.keys() == reference.piece_ids.keys()
+    pieces = list(batched.piece_ids)
+    pairs = set(zip(batched.pair_word.tolist(), batched.pair_piece.tolist()))
+    assert len(pairs) == batched.pair_word.size == reference.pair_word.size
+    for (positions, spans), (reference_positions, _) in zip(batched.groups, reference.groups, strict=True):
+        assert positions.tolist() == reference_positions.tolist()
+        for row, position in enumerate(positions.tolist()):
+            word = words[position]
+            for start in range(len(word)):
+                assert (spans[row, start, : start + 1] == -1).all()
+                for end in range(start + 1, len(word) + 1):
+                    pair = spans[row, start, end]
+                    assert batched.pair_word[pair] == position
+                    assert pieces[batched.pair_piece[pair]] == word[start:end]
+
+    outcomes = []
+    for scored in (batched, reference):
+        piece_row = np.array([table.token_id(p) if p in table else -1 for p in scored.piece_ids])
+        scored.score(table.vectors, piece_row)
+        try:
+            outcomes.append(
+                {
+                    position: (_split_at(words[position], mask), float(score).hex())
+                    for positions, scores, masks in scored.segment(alpha)
+                    for position, score, mask in zip(positions.tolist(), scores, masks)
+                }
+            )
+        except CoverageError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], str):
+        return
+    for position, (word, vector) in enumerate(zip(words, word_vectors)):
+        want = _best_segmentation(word, _reference_sims(word, vector, table), alpha)
+        assert outcomes[0][position] == (want.subwords, want.score.hex())
 
 
 def test_piece_count_is_non_increasing_in_alpha():
@@ -413,6 +519,9 @@ def test_refine_validations():
     short = EmbeddingTable(["ab"], np.zeros((1, 2)))
     with pytest.raises(ValidationError, match="coverage"):
         refine(lexicon, short, counts, output_rows)
+    wide = EmbeddingTable(embeddings.tokens, np.random.default_rng(0).normal(size=(2, 3)))
+    with pytest.raises(ArgumentError, match="embedding dimension 3 exceeds vocabulary size 2"):
+        refine(lexicon, wide, counts, wide)
 
 
 def _refinement_inputs(num_stems, num_suffixes, dim, seed, extra_merges=20, all_words=False):
@@ -502,13 +611,13 @@ def test_refine_solves_fewer_rows_than_the_full_loop(monkeypatch):
         num_stems=20, num_suffixes=8, dim=32, seed=11, extra_merges=40, all_words=True
     )
     solved = []
-    original = lexseg.compute_subword_embeddings
+    original = lexseg._solve_incidence
 
-    def counting(subwords, matrix, *args, **kwargs):
-        solved.append(matrix.row_count)
-        return original(subwords, matrix, *args, **kwargs)
+    def counting(incidence, *args, **kwargs):
+        solved.append(incidence.shape[0])
+        return original(incidence, *args, **kwargs)
 
-    monkeypatch.setattr(lexseg, "compute_subword_embeddings", counting)
+    monkeypatch.setattr(lexseg, "_solve_incidence", counting)
     state = refine(lexicon0, embeddings, counts, output_rows)
     augmented, _ = build_segmentation_matrix(embeddings.tokens, lexicon=lexicon0)
     full_loop = [len(augmented)] + [s.subword_count for s in state.history[:-1]]

@@ -603,6 +603,16 @@ def test_rank_deficient_without_ridge_advises_ridge():
     assert np.isfinite(solved.vectors).all()
 
 
+def test_solver_rejects_an_output_matrix_wider_than_its_words():
+    # Two words cannot determine three coordinates, whatever the ridge.
+    table = EmbeddingTable(["a", "b"], np.random.default_rng(0).normal(size=(2, 3)))
+    counts = _counts_from_dense([[1, 1], [1, 1]])
+    subwords, matrix = SubwordVocabulary(["a"]), SegmentationMatrix(2, [(0,)])
+    for ridge in (None, 0.0, 1.0):
+        with pytest.raises(ArgumentError, match="embedding dimension 3 exceeds vocabulary size 2"):
+            compute_subword_embeddings(subwords, matrix, counts, table, ridge=ridge)
+
+
 def test_solver_rejects_negative_ridge():
     table = EmbeddingTable(["a", "b"], np.eye(2))
     counts = _counts_from_dense([[1, 1], [1, 1]])
