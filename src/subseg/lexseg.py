@@ -12,17 +12,16 @@ Refinement alternates two steps over a whole lexicon: solve subword
 vectors for the current segmentations, then re-segment every word with
 those vectors, pruning subwords that fall out of use.  The subword
 inventory can only shrink, and the loop stops at the first pass that
-changes no word.  It is incremental and exact: each solved row depends
-only on its own incidence row, so a pass solves only the rows whose word
-set changed, re-scores only the (word, substring) pairs of those rows, and
-moves the ids of changed words between the incidence rows in place.  The
-(word, substring) pairs are numbered once, by ``np.unique`` over every
-span of every word, and a pass re-scores them in blocks of
-``_GATHER_BYTES`` per gathered operand.  Its rows are solved by the array
-solve under :func:`subseg.subspace.compute_subword_embeddings`, from CSR
-arrays built from the per-piece word-id sets.  The scores equal
-:func:`cosine` bit for bit, so refinement segments exactly as a full
-re-solve followed by per-word :func:`embedding_segment` calls would.
+changes no word.  The incidence is one sorted int64 array of
+``piece_id * |V| + word_id`` keys read off the DP's cut masks.  Refinement
+is incremental and exact: each solved row depends only on its own
+incidence row, so a pass solves, from a CSR of their keys, only the
+surviving rows keyed in the symmetric difference of its old and new keys,
+and re-scores only the (word, substring) pairs of those rows.  The pairs
+are numbered once, by ``np.unique`` over every span of every word, and
+re-scored in blocks of ``_GATHER_BYTES`` per gathered operand.  The
+scores equal :func:`cosine` bit for bit, so refinement segments exactly as
+a full re-solve followed by per-word :func:`embedding_segment` calls would.
 A corpus is segmented with the result by passing its ``lexicon`` to
 :func:`subseg.textio.segment_corpus`.
 """
@@ -30,9 +29,8 @@ A corpus is segmented with the result by passing its ``lexicon`` to
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -44,7 +42,6 @@ from subseg.subspace import (
     _check_smoothing,
     _incidence_csr,
     _solve_incidence,
-    build_segmentation_matrix,
     default_ridge,
 )
 # Defined in textio, which imports no numpy.  OOV_POLICIES stays importable
@@ -190,10 +187,8 @@ class _WordSubstrings:
         self.cosines = np.zeros(keys.size + 1, dtype=np.float64)
         self.present = np.zeros(keys.size + 1, dtype=bool)
 
-    def score(
-        self, vectors: np.ndarray, piece_row: np.ndarray, pieces: Sequence[int] | None = None
-    ) -> None:
-        """Re-score the pairs of ``pieces`` (piece ids; all pieces when None).
+    def score(self, vectors: np.ndarray, piece_row: np.ndarray, pieces: np.ndarray | None = None) -> None:
+        """Re-score the pairs of ``pieces`` (an array of piece ids; all pieces when None).
 
         ``piece_row`` maps every piece id to its row of ``vectors``, or to -1
         for a piece without a vector; a pair is present when its piece has a
@@ -204,7 +199,7 @@ class _WordSubstrings:
         wanted = piece_row >= 0
         if pieces is not None:
             chosen = np.zeros(piece_row.size, dtype=bool)
-            chosen[list(pieces)] = True
+            chosen[pieces] = True
             wanted &= chosen
         todo = np.flatnonzero(wanted[self.pair_piece])
         block_rows = max(1, _GATHER_BYTES // (vectors.shape[1] * vectors.itemsize))
@@ -236,6 +231,23 @@ class _WordSubstrings:
                     mask[row, end] = True
             masks.append(mask)
         return masks
+
+    def pieces(self, masks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The word position, start, end and piece id of every piece the cut masks make.
+
+        Masks are as in :meth:`cut_masks`, one per group.  Pieces come group
+        by group, word by word, and in order within each word.
+        """
+        # An empty int64 first part keeps piece keys from wrapping and an empty lexicon valid.
+        parts = [(np.zeros(0, dtype=np.int64),) * 4]
+        for (positions, spans), mask in zip(self.groups, masks):
+            rows, ends = np.nonzero(mask)
+            # Each piece runs from the cut before its end, or from 0 after
+            # the previous word's last cut, which is at the end n.
+            starts = np.roll(ends, 1)
+            starts[starts == mask.shape[1] - 1] = 0
+            parts.append((positions[rows], starts, ends, self.pair_piece[spans[rows, starts, ends]]))
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def segment(self, alpha: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The best split of every word, as (word positions, scores, cut masks) per group.
@@ -401,9 +413,10 @@ def refine(
     word with :func:`embedding_segment` on every pass, bit for bit, but a
     pass does less: a solved row depends only on its own incidence row,
     so only rows whose word set changed are solved again, and only rows
-    that are substrings of some lexicon word are solved at all; only the
-    (word, piece) cosines of re-solved pieces are recomputed; and the
-    incidence is updated in place from the words that changed.  The solve
+    that are substrings of some lexicon word are solved at all; and only
+    the (word, piece) cosines of re-solved pieces are recomputed.  The
+    incidence is one sorted array of ``piece_id * |V| + word_id`` keys,
+    taken from each pass's cut masks, as is the final result.  The solve
     and the output matrix are checked as :func:`compute_subword_embeddings`
     checks them: a bad ``smoothing`` before any work, and a matrix with more
     dimensions than words or a ridge that does not regularize it at the
@@ -428,88 +441,72 @@ def refine(
 
     if ridge is None:
         ridge = default_ridge(output_rows)
+    vocab_size = counts.vocab_size
     words = sorted(lexicon0.words())
-    word_ids = [word_embeddings.token_id(word) for word in words]
+    word_ids = np.array([word_embeddings.token_id(word) for word in words], dtype=np.int64)
     substrings = _WordSubstrings(words, word_embeddings.vectors[word_ids])
-    current = {word: lexicon0[word] for word in words}
-    masks = substrings.cut_masks(list(current.values()))
-    # Word ids per piece.  The first pass solves the augmented incidence of
-    # lexicon0, restricted to the rows the DP can use (substrings of lexicon
-    # words), as sorted tuples; from the rebuild after it on, the rows are
-    # sets updated in place.  Each piece keeps one row of ``vectors``.
-    augmented, matrix0 = build_segmentation_matrix(word_embeddings.tokens, lexicon=lexicon0)
-    members: dict[str, Collection[int]] = {
-        piece: row
-        for piece, row in zip(augmented.tokens, matrix0.rows)
-        if piece in substrings.piece_ids
-    }
+    masks = substrings.cut_masks([lexicon0[word] for word in words])
+
+    def incidence(masks: Sequence[np.ndarray]) -> np.ndarray:
+        positions, _, _, pieces = substrings.pieces(masks)
+        return np.unique(pieces * vocab_size + word_ids[positions])
+
+    # The first pass solves the keys of lexicon0 and of every single
+    # character over the vocabulary words that hold it, restricted to the
+    # rows the DP can use (substrings of lexicon words); each later pass,
+    # those of the segmentations alone.  A piece keeps one row of ``vectors``.
+    keys = np.union1d(incidence(masks), _character_keys(word_embeddings.tokens, substrings.piece_ids))
+    dirty = np.unique(keys // vocab_size)
     piece_row = np.full(len(substrings.piece_ids), -1, dtype=np.intp)
-    for row, piece in enumerate(members):
-        piece_row[substrings.piece_ids[piece]] = row
-    vectors = np.empty((len(members), output_rows.dim), dtype=np.float64)
-    dirty = sorted(members)
+    piece_row[dirty] = np.arange(dirty.size)
+    vectors = np.empty((dirty.size, output_rows.dim), dtype=np.float64)
     history: list[IterationStats] = []
     for iteration in range(1, max_iters + 1):
-        ids = [substrings.piece_ids[piece] for piece in dirty]
-        if dirty:
-            incidence = _incidence_csr([members[piece] for piece in dirty], counts.vocab_size)
-            vectors[piece_row[ids]] = _solve_incidence(incidence, counts, output_rows, smoothing, ridge)
-        substrings.score(vectors, piece_row, ids)
-        changed = 0
-        touched: set[str] = set()
-        for group, (positions, _, cuts) in enumerate(substrings.segment(alpha)):
-            moved = np.flatnonzero((cuts != masks[group]).any(axis=1))
-            masks[group] = cuts
-            if not moved.size:
-                continue
-            # Each piece runs from the cut before its end, or from 0 after
-            # the previous word's last cut, which is at the end n.
-            cut = cuts[moved]
-            _, ends = np.nonzero(cut)
-            starts = np.roll(ends, 1)
-            starts[starts == cut.shape[1] - 1] = 0
-            pieces = zip(starts.tolist(), ends.tolist())
-            for position, count in zip(positions[moved].tolist(), np.count_nonzero(cut, axis=1).tolist()):
-                word, word_id = words[position], word_ids[position]
-                new = tuple(word[start:end] for start, end in islice(pieces, count))
-                old = set(current[word])
-                current[word] = new
-                changed += 1
-                if iteration > 1:
-                    for piece in old.difference(new):
-                        members[piece].discard(word_id)
-                        touched.add(piece)
-                    for piece in set(new).difference(old):
-                        members[piece].add(word_id)
-                        touched.add(piece)
-        if iteration == 1:
-            # From here on the incidence is that of the segmentations alone.
-            fresh: dict[str, set[int]] = {}
-            for word, word_id in zip(words, word_ids):
-                for piece in current[word]:
-                    fresh.setdefault(piece, set()).add(word_id)
-            touched = {p for p, word_set in fresh.items() if word_set != set(members[p])}
-            touched.update(members.keys() - fresh.keys())
-            members = fresh
-        gone = [piece for piece in touched if not members.get(piece)]
-        for piece in gone:
-            members.pop(piece, None)
-            piece_row[substrings.piece_ids[piece]] = -1
-        dirty = sorted(touched.difference(gone))
-        stats = IterationStats(iteration, changed, len(members))
+        if dirty.size:
+            rows = keys[np.isin(keys // vocab_size, dirty)]
+            vectors[piece_row[dirty]] = _solve_incidence(
+                _incidence_csr(rows, vocab_size), counts, output_rows, smoothing, ridge
+            )
+        substrings.score(vectors, piece_row, dirty)
+        old_masks, masks = masks, [cuts for _, _, cuts in substrings.segment(alpha)]
+        changed = sum(int((new != old).any(axis=1).sum()) for old, new in zip(old_masks, masks))
+        new_keys = incidence(masks)
+        alive = np.zeros(piece_row.size, dtype=bool)
+        alive[new_keys // vocab_size] = True
+        piece_row[~alive] = -1
+        # Only the rows whose word set changed and that still exist are solved again.
+        touched = np.unique(np.setxor1d(keys, new_keys) // vocab_size)
+        dirty = touched[alive[touched]]
+        keys = new_keys
+        stats = IterationStats(iteration, changed, int(alive.sum()))
         history.append(stats)
         if progress is not None:
             progress(stats)
         if changed == 0:
             break
-    tokens = sorted(members)
+    lexicon: dict[str, list[str]] = {word: [] for word in words}
+    for position, start, end in zip(*(column.tolist() for column in substrings.pieces(masks)[:3])):
+        lexicon[words[position]].append(words[position][start:end])
+    names = list(substrings.piece_ids)
+    pieces, firsts = np.unique(keys // vocab_size, return_index=True)
+    order = sorted(range(pieces.size), key=lambda row: names[pieces[row]])
+    rows = np.split(keys % vocab_size, firsts[1:])
+    tokens = [names[pieces[row]] for row in order]
     return RefinementState(
         iterations=history[-1].iteration,
         subwords=SubwordVocabulary(tokens),
-        matrix=SegmentationMatrix(counts.vocab_size, [sorted(members[p]) for p in tokens]),
-        embeddings=EmbeddingTable._owning(
-            tokens, vectors[piece_row[[substrings.piece_ids[p] for p in tokens]]]
-        ),
-        lexicon=SegmentedLexicon(current),
+        matrix=SegmentationMatrix(vocab_size, [rows[row].tolist() for row in order]),
+        embeddings=EmbeddingTable._owning(tokens, vectors[piece_row[pieces[order]]]),
+        lexicon=SegmentedLexicon(lexicon),
         history=tuple(history),
     )
+
+
+def _character_keys(tokens: Sequence[str], piece_ids: dict[str, int]) -> np.ndarray:
+    """The key piece_id * len(tokens) + token_id of each single-character piece in each token."""
+    chars = sorted((ord(piece), piece_id) for piece, piece_id in piece_ids.items() if len(piece) == 1)
+    codes, ids = np.array(chars, dtype=np.int64).reshape(-1, 2).T
+    text = np.frombuffer("".join(tokens).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    owner = np.repeat(np.arange(len(tokens)), np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens)))
+    held = np.isin(text, codes)
+    return ids[np.searchsorted(codes, text[held])] * len(tokens) + owner[held]

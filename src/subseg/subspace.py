@@ -65,7 +65,7 @@ import stat
 import tempfile
 import threading
 import warnings
-from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import closing
 from itertools import chain
 from pathlib import Path
@@ -615,7 +615,10 @@ class SegmentationMatrix:
         return self._rows[subword_id]
 
     def to_csr(self) -> sparse.csr_matrix:
-        return _incidence_csr(self._rows, self._word_count)
+        lengths = np.fromiter(map(len, self._rows), dtype=np.int64, count=len(self._rows))
+        ids = np.fromiter(chain.from_iterable(self._rows), dtype=np.int64, count=int(lengths.sum()))
+        rows = np.repeat(np.arange(len(self._rows), dtype=np.int64), lengths)
+        return _incidence_csr(rows * self._word_count + ids, self._word_count)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SegmentationMatrix):
@@ -626,21 +629,20 @@ class SegmentationMatrix:
         return f"SegmentationMatrix({self.row_count} subwords x {self._word_count} words)"
 
 
-def _incidence_csr(rows: Sequence[Collection[int]], word_count: int) -> sparse.csr_matrix:
-    """The binary incidence whose row i holds the distinct word ids ``rows[i]``.
+def _incidence_csr(keys: np.ndarray, word_count: int) -> sparse.csr_matrix:
+    """The binary incidence of sorted, distinct ``row * word_count + word_id`` keys.
 
-    Each row's ids are sorted here: the pooled rows, and so the order in
-    which a solved row sums its terms, follow the order of its ids.
+    It has one row per distinct row of the keys, in ascending order, and
+    each row holds its word ids in ascending order: the pooled rows, and so
+    the order in which a solved row sums its terms, follow that order.
     """
     from scipy import sparse  # deferred like CooccurrenceCounts.matrix
 
-    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum([len(row) for row in rows], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=indptr[-1])
-    data = np.ones(len(indices), dtype=np.float64)
-    incidence = sparse.csr_matrix((data, indices, indptr), shape=(len(rows), word_count))
-    incidence.sort_indices()  # a no-op on sorted rows, such as a SegmentationMatrix's
-    return incidence
+    rows, indices = np.divmod(keys, word_count)
+    _, starts = np.unique(rows, return_index=True)
+    indptr = np.append(starts, keys.size)
+    data = np.ones(keys.size, dtype=np.float64)
+    return sparse.csr_matrix((data, indices, indptr), shape=(starts.size, word_count))
 
 
 def build_segmentation_matrix(
@@ -835,7 +837,7 @@ def _solve_incidence(
     smoothing: float,
     ridge: float,
 ) -> np.ndarray:
-    """The solved vector of each row of ``incidence`` (see :func:`_incidence_csr`).
+    """The solved vector of each row of an :func:`_incidence_csr`, bitwise the same in any subset of rows.
 
     The inputs are not checked: :func:`compute_subword_embeddings` checks
     its public inputs before calling this, and :func:`subseg.lexseg.refine`

@@ -586,19 +586,29 @@ def test_public_names_resolve_to_their_defining_modules():
         subseg.no_such_name
 
 
-def test_benchmark_tracer_runs_a_stage(tmp_path):
+@pytest.mark.parametrize("stage", ["vocab", "subword-embed", "refine"])
+def test_benchmark_tracer_runs_a_stage(pipeline, tmp_path, stage):
     """``perfbench/tracer.py`` resolves package names when it installs its wrappers."""
     tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     (tmp_path / "corpus.txt").write_text("ab cd ab\ncd ef\n", encoding="utf-8")
+    common = ["--vocab", str(pipeline["vocab"]), "--counts", str(pipeline["counts"])]
+    common += ["--output-matrix", str(pipeline["outmat"]), "--lexicon", str(pipeline["lex0"])]
+    stage_args, traced, out = {
+        "vocab": (["corpus.txt"], "textio.build_vocabulary", "vocab.tsv"),
+        "subword-embed": (common, "subspace.SegmentationMatrix.to_csr", "subemb.txt"),
+        "refine": (["--embeddings", str(pipeline["emb"]), *common], "lexseg.refine", "refined.tsv"),
+    }[stage]
     spans = tmp_path / "spans.json"
-    argv = [str(tracer), str(spans), "vocab-1", "--", "vocab", "corpus.txt", "-o", "vocab.tsv"]
+    argv = [str(tracer), str(spans), f"{stage}-1", "--", stage, *stage_args, "-o", out]
     ran = _run_python(argv, b"", tmp_path)
     assert ran.returncode == 0, ran.stderr
     report = json.loads(spans.read_text(encoding="utf-8"))
-    assert (report["stage_id"], report["exit_code"]) == ("vocab-1", 0)
-    assert report["spans"] and "textio.build_vocabulary" in report["totals"]
+    assert (report["stage_id"], report["exit_code"]) == (f"{stage}-1", 0)
+    assert report["spans"] and traced in report["totals"]
     assert set(report["counts"]) == {"lexseg.cosine", "bigram.BigramModel.log_prob"}
-    assert (tmp_path / "vocab.tsv").is_file()
+    if stage == "subword-embed":
+        assert report["quantities"]["subspace.build_segmentation_matrix.rows"] > 0
+    assert (tmp_path / out).is_file()
 
 
 def test_usage_errors_exit_2(pipeline, tmp_path, capsys):

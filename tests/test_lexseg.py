@@ -586,24 +586,59 @@ def _reference_refine(lexicon0, embeddings, counts, output_rows, max_iters=10):
     return SegmentedLexicon(current), history, final, matrix
 
 
+def _hand_built_inputs(lines, splits, dim, seed):
+    from subseg import build_vocabulary, count_cooccurrences
+
+    vocab = build_vocabulary(lines, max_size=10_000)
+    counts = count_cooccurrences(lines, vocab, window=5)
+    embeddings, output_rows = consistent_embeddings(counts, vocab.tokens, dim, seed)
+    return SegmentedLexicon(splits), embeddings, counts, output_rows
+
+
 @pytest.mark.parametrize(
     "inputs",
     [
         dict(num_stems=6, num_suffixes=4, dim=16, seed=5),
         # the fixture of acceptance criterion 5
         dict(num_stems=20, num_suffixes=8, dim=32, seed=11, extra_merges=40, all_words=True),
+        # "zqж" is outside the lexicon and holds no character of a lexicon
+        # word, so its characters get no row, while "bü" adds to the rows of
+        # its characters; "abab" splits into one piece twice; the words are
+        # non-ASCII, and the most frequent, first in the vocabulary, holds
+        # "𝔘", outside the BMP.
+        dict(
+            lines=[
+                "𝔘ber abab ab über ba zqж bü",
+                "𝔘ber naïve abab über 𝔘ber",
+                "ba ab naïve zqж 𝔘ber",
+                "über abab ab ba 𝔘ber",
+                "naïve 𝔘ber zqж ab bü",
+                "ba über abab naïve 𝔘ber",
+            ],
+            splits={
+                "abab": ["ab", "ab"], "ab": ["a", "b"], "ba": ["ba"], "über": ["üb", "er"],
+                "𝔘ber": ["𝔘", "b", "er"], "naïve": ["na", "ïve"],
+            },
+            dim=4,
+            seed=3,
+        ),
     ],
 )
 def test_refine_equals_reference_loop_bitwise(inputs):
-    lexicon0, embeddings, counts, output_rows, _ = _refinement_inputs(**inputs)
-    state = refine(lexicon0, embeddings, counts, output_rows)
-    lexicon, history, final, matrix = _reference_refine(lexicon0, embeddings, counts, output_rows)
-    assert state.lexicon == lexicon
-    assert state.subwords.tokens == final.tokens
-    assert state.matrix == matrix
-    assert [(s.iteration, s.changed_words, s.subword_count) for s in state.history] == history
-    assert state.embeddings.tokens == final.tokens
-    assert np.array_equal(state.embeddings.vectors, final.vectors)
+    build = _hand_built_inputs if "splits" in inputs else _refinement_inputs
+    lexicon0, embeddings, counts, output_rows = build(**inputs)[:4]
+    # One pass returns the first solve's vectors of the surviving subwords.
+    for max_iters in (1, 10):
+        state = refine(lexicon0, embeddings, counts, output_rows, max_iters=max_iters)
+        lexicon, history, final, matrix = _reference_refine(
+            lexicon0, embeddings, counts, output_rows, max_iters=max_iters
+        )
+        assert state.lexicon == lexicon
+        assert state.subwords.tokens == final.tokens
+        assert state.matrix == matrix
+        assert [(s.iteration, s.changed_words, s.subword_count) for s in state.history] == history
+        assert state.embeddings.tokens == final.tokens
+        assert np.array_equal(state.embeddings.vectors, final.vectors)
 
 
 def test_refine_solves_fewer_rows_than_the_full_loop(monkeypatch):
