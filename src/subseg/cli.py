@@ -197,23 +197,12 @@ def _cmd_subword_embed(args: argparse.Namespace) -> int:
         vocab, counts = _load_word_tables(args)
         join = functools.partial(_join_aligned, pending, args.output_matrix, vocab)
         with _reported_after(join):
-            if args.lexicon:
-                lexicon = _load(textio.load_lexicon, args.lexicon)
-                subwords, matrix = subspace.build_segmentation_matrix(vocab.tokens, lexicon=lexicon)
-            else:
-                subwords, matrix = subspace.build_segmentation_matrix(
-                    vocab.tokens, max_substring_len=args.substr_max_len
-                )
+            lexicon = _load(textio.load_lexicon, args.lexicon) if args.lexicon else None
+            subwords, matrix = subspace.build_segmentation_matrix(vocab.tokens, lexicon, args.substr_max_len)
             counts.matrix()
         output_rows = join()
-    table = subspace.compute_subword_embeddings(
-        subwords,
-        matrix,
-        counts,
-        output_rows,
-        smoothing=args.smoothing,
-        ridge=_parse_ridge(args.ridge),
-    )
+    ridge = _parse_ridge(args.ridge)
+    table = subspace.compute_subword_embeddings(subwords, matrix, counts, output_rows, args.smoothing, ridge)
     subspace.save_embeddings(table, args.output)
     return 0
 

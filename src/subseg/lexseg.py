@@ -13,11 +13,13 @@ vectors for the current segmentations, then re-segment every word with
 those vectors, pruning subwords that fall out of use.  The subword
 inventory can only shrink, and the loop stops at the first pass that
 changes no word.  The incidence is one sorted int64 array of
-``piece_id * |V| + word_id`` keys read off the DP's cut masks.  Refinement
-is incremental and exact: each solved row depends only on its own
-incidence row, so a pass solves, from a CSR of their keys, only the
-surviving rows keyed in the symmetric difference of its old and new keys,
-and re-scores only the (word, substring) pairs of those rows.  The pairs
+``piece_id * |V| + word_id`` keys read off the DP's cut masks; the final
+keys, renumbered to token order, make the result's
+:class:`~subseg.subspace.SegmentationMatrix`.  Refinement is incremental
+and exact: each solved row depends only on its own incidence row, so a
+pass solves, from a CSR of their keys, only the surviving rows keyed in
+the symmetric difference of its old and new keys, and re-scores only the
+(word, substring) pairs of those rows.  The pairs
 are numbered once, by ``np.unique`` over every span of every word, and
 re-scored in blocks of ``_GATHER_BYTES`` per gathered operand.  The
 scores equal :func:`cosine` bit for bit, so refinement segments exactly as
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,9 +42,11 @@ from subseg.cooccur import CooccurrenceCounts
 from subseg.subspace import (
     EmbeddingTable,
     SegmentationMatrix,
+    _character_keys,
     _check_smoothing,
     _incidence_csr,
     _solve_incidence,
+    _sorted_unique,
     default_ridge,
 )
 # Defined in textio, which imports no numpy.  OOV_POLICIES stays importable
@@ -225,10 +230,7 @@ class _WordSubstrings:
         for positions, spans in self.groups:
             mask = np.zeros((len(positions), spans.shape[2]), dtype=bool)
             for row, position in enumerate(positions.tolist()):
-                end = 0
-                for piece in segmentations[position]:
-                    end += len(piece)
-                    mask[row, end] = True
+                mask[row, list(accumulate(map(len, segmentations[position])))] = True
             masks.append(mask)
         return masks
 
@@ -447,25 +449,26 @@ def refine(
     substrings = _WordSubstrings(words, word_embeddings.vectors[word_ids])
     masks = substrings.cut_masks([lexicon0[word] for word in words])
 
-    def incidence(masks: Sequence[np.ndarray]) -> np.ndarray:
+    def incidence(masks: Sequence[np.ndarray], *extra: np.ndarray) -> np.ndarray:
         positions, _, _, pieces = substrings.pieces(masks)
-        return np.unique(pieces * vocab_size + word_ids[positions])
+        return _sorted_unique(np.concatenate([pieces * vocab_size + word_ids[positions], *extra]))
 
     # The first pass solves the keys of lexicon0 and of every single
     # character over the vocabulary words that hold it, restricted to the
     # rows the DP can use (substrings of lexicon words); each later pass,
     # those of the segmentations alone.  A piece keeps one row of ``vectors``.
-    keys = np.union1d(incidence(masks), _character_keys(word_embeddings.tokens, substrings.piece_ids))
-    dirty = np.unique(keys // vocab_size)
-    piece_row = np.full(len(substrings.piece_ids), -1, dtype=np.intp)
+    keys = incidence(masks, _character_keys(word_embeddings.tokens, substrings.piece_ids))
+    names = list(substrings.piece_ids)
+    dirty = _sorted_unique(keys // vocab_size)
+    piece_row = np.full(len(names), -1, dtype=np.intp)
     piece_row[dirty] = np.arange(dirty.size)
     vectors = np.empty((dirty.size, output_rows.dim), dtype=np.float64)
     history: list[IterationStats] = []
     for iteration in range(1, max_iters + 1):
         if dirty.size:
-            rows = keys[np.isin(keys // vocab_size, dirty)]
+            rows = _incidence_csr(keys[np.isin(keys // vocab_size, dirty)], vocab_size)
             vectors[piece_row[dirty]] = _solve_incidence(
-                _incidence_csr(rows, vocab_size), counts, output_rows, smoothing, ridge
+                rows, [names[piece] for piece in dirty.tolist()], counts, output_rows, smoothing, ridge
             )
         substrings.score(vectors, piece_row, dirty)
         old_masks, masks = masks, [cuts for _, _, cuts in substrings.segment(alpha)]
@@ -475,7 +478,7 @@ def refine(
         alive[new_keys // vocab_size] = True
         piece_row[~alive] = -1
         # Only the rows whose word set changed and that still exist are solved again.
-        touched = np.unique(np.setxor1d(keys, new_keys) // vocab_size)
+        touched = _sorted_unique(np.setxor1d(keys, new_keys, assume_unique=True) // vocab_size)
         dirty = touched[alive[touched]]
         keys = new_keys
         stats = IterationStats(iteration, changed, int(alive.sum()))
@@ -487,26 +490,18 @@ def refine(
     lexicon: dict[str, list[str]] = {word: [] for word in words}
     for position, start, end in zip(*(column.tolist() for column in substrings.pieces(masks)[:3])):
         lexicon[words[position]].append(words[position][start:end])
-    names = list(substrings.piece_ids)
-    pieces, firsts = np.unique(keys // vocab_size, return_index=True)
-    order = sorted(range(pieces.size), key=lambda row: names[pieces[row]])
-    rows = np.split(keys % vocab_size, firsts[1:])
-    tokens = [names[pieces[row]] for row in order]
+    # The final keys, renumbered to the subwords' sorted token order.
+    pieces = sorted(_sorted_unique(keys // vocab_size).tolist(), key=names.__getitem__)
+    tokens = [names[piece] for piece in pieces]
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[pieces] = np.arange(len(pieces))
+    piece_of, word_of = np.divmod(keys, vocab_size)
     return RefinementState(
         iterations=history[-1].iteration,
         subwords=SubwordVocabulary(tokens),
-        matrix=SegmentationMatrix(vocab_size, [rows[row].tolist() for row in order]),
-        embeddings=EmbeddingTable._owning(tokens, vectors[piece_row[pieces[order]]]),
+        matrix=SegmentationMatrix(vocab_size, len(tokens), np.sort(rank[piece_of] * vocab_size + word_of)),
+        embeddings=EmbeddingTable._owning(tokens, vectors[piece_row[pieces]]),
         lexicon=SegmentedLexicon(lexicon),
         history=tuple(history),
     )
 
-
-def _character_keys(tokens: Sequence[str], piece_ids: dict[str, int]) -> np.ndarray:
-    """The key piece_id * len(tokens) + token_id of each single-character piece in each token."""
-    chars = sorted((ord(piece), piece_id) for piece, piece_id in piece_ids.items() if len(piece) == 1)
-    codes, ids = np.array(chars, dtype=np.int64).reshape(-1, 2).T
-    text = np.frombuffer("".join(tokens).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    owner = np.repeat(np.arange(len(tokens)), np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens)))
-    held = np.isin(text, codes)
-    return ids[np.searchsorted(codes, text[held])] * len(tokens) + owner[held]

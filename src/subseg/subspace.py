@@ -3,10 +3,11 @@
 A trained skip-gram model ties its input vectors E and output matrix W
 together through softmax(E W) ~ the row-normalized co-occurrence table.
 That relation extends to any group of words: given a binary incidence
-matrix A mapping subwords to the words that contain them, the pooled
-co-occurrence rows A C yield targets T = log of the smoothed, normalized
-pooled rows, and subword input vectors are recovered by a ridge-regularized
-right inverse
+matrix A mapping subwords to the words that contain them, held as one
+sorted int64 array of keys ``row * |V| + word_id`` whose order every
+consumer reads off neighbouring keys, the pooled co-occurrence rows A C
+yield targets T = log of the smoothed, normalized pooled rows, and
+subword input vectors are recovered by a ridge-regularized right inverse
 
     E_sub = T W^T (W W^T + ridge I)^{-1} = T P,
 
@@ -67,7 +68,6 @@ import threading
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import closing
-from itertools import chain
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, NoReturn, TypeVar
 
@@ -575,29 +575,33 @@ def align_embeddings(table: EmbeddingTable, tokens: Sequence[str]) -> EmbeddingT
 
 
 class SegmentationMatrix:
-    """Binary subword-by-word incidence, stored as sorted word ids per row.
+    """Binary subword-by-word incidence, one int64 key ``row * word_count + word_id`` per cell.
 
-    Rows are never empty: a subword with no incident word carries no
-    information and is pruned before construction.
+    The keys strictly increase, so each row's word ids are sorted and
+    distinct, and every row has at least one: a subword with no incident
+    word carries no information and is pruned before construction.
     """
 
-    __slots__ = ("_word_count", "_rows")
+    __slots__ = ("_word_count", "_row_count", "_keys")
 
-    def __init__(self, word_count: int, rows: Sequence[Sequence[int]]):
-        if word_count < 0:
-            raise ArgumentError(f"word_count must be nonnegative, got {word_count}")
-        cleaned: list[tuple[int, ...]] = []
-        for row_id, row in enumerate(rows):
-            ids = tuple(row)
-            if not ids:
-                raise ValidationError(f"subword row {row_id} is empty")
-            if list(ids) != sorted(set(ids)):
-                raise ValidationError(f"subword row {row_id} is not sorted and unique")
-            if ids[0] < 0 or ids[-1] >= word_count:
-                raise ValidationError(f"subword row {row_id} references an out-of-range word id")
-            cleaned.append(ids)
-        self._word_count = word_count
-        self._rows = tuple(cleaned)
+    def __init__(self, word_count: int, row_count: int, keys: np.ndarray):
+        if word_count < 0 or row_count < 0:
+            raise ArgumentError(f"word and row counts must be nonnegative, got {word_count}, {row_count}")
+        keys = np.array(keys, dtype=np.int64)
+        if keys.ndim != 1:
+            raise ValidationError(f"incidence keys must be 1-dimensional, got shape {keys.shape}")
+        rows = keys // max(word_count, 1)
+        unordered = rows[1:][keys[1:] <= keys[:-1]]
+        if unordered.size:
+            raise ValidationError(f"subword row {unordered[0]} is not sorted and unique")
+        outside = rows[(keys < 0) | (keys >= row_count * word_count)]
+        if outside.size:
+            raise ValidationError(f"subword row {outside[0]} is out of range for {row_count} rows")
+        empty = np.flatnonzero(np.bincount(rows, minlength=row_count) == 0)
+        if empty.size:
+            raise ValidationError(f"subword row {empty[0]} is empty")
+        keys.setflags(write=False)
+        self._word_count, self._row_count, self._keys = word_count, row_count, keys
 
     @property
     def word_count(self) -> int:
@@ -605,28 +609,25 @@ class SegmentationMatrix:
 
     @property
     def row_count(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
-
-    def row(self, subword_id: int) -> tuple[int, ...]:
-        return self._rows[subword_id]
+        return self._row_count
 
     def to_csr(self) -> sparse.csr_matrix:
-        lengths = np.fromiter(map(len, self._rows), dtype=np.int64, count=len(self._rows))
-        ids = np.fromiter(chain.from_iterable(self._rows), dtype=np.int64, count=int(lengths.sum()))
-        rows = np.repeat(np.arange(len(self._rows), dtype=np.int64), lengths)
-        return _incidence_csr(rows * self._word_count + ids, self._word_count)
+        return _incidence_csr(self._keys, self._word_count)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SegmentationMatrix):
             return NotImplemented
-        return self._word_count == other._word_count and self._rows == other._rows
+        shape = (self._word_count, self._row_count)
+        return shape == (other._word_count, other._row_count) and np.array_equal(self._keys, other._keys)
 
     def __repr__(self) -> str:
         return f"SegmentationMatrix({self.row_count} subwords x {self._word_count} words)"
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of nonnegative integers by one sort: numpy 2.4's hash path took 13-60 times as long."""
+    ordered = np.sort(values)
+    return ordered[np.diff(ordered, prepend=-1) != 0]
 
 
 def _incidence_csr(keys: np.ndarray, word_count: int) -> sparse.csr_matrix:
@@ -639,10 +640,21 @@ def _incidence_csr(keys: np.ndarray, word_count: int) -> sparse.csr_matrix:
     from scipy import sparse  # deferred like CooccurrenceCounts.matrix
 
     rows, indices = np.divmod(keys, word_count)
-    _, starts = np.unique(rows, return_index=True)
-    indptr = np.append(starts, keys.size)
-    data = np.ones(keys.size, dtype=np.float64)
-    return sparse.csr_matrix((data, indices, indptr), shape=(starts.size, word_count))
+    indptr = np.append(np.flatnonzero(np.diff(rows, prepend=-1)), keys.size)
+    return sparse.csr_matrix((np.ones(keys.size), indices, indptr), shape=(indptr.size - 1, word_count))
+
+
+def _character_keys(tokens: Sequence[str], piece_ids: dict[str, int]) -> np.ndarray:
+    """The key piece_id * len(tokens) + token_id of each single-character piece in each token.
+
+    The only home of the rule that every character of a word is a subword of it.
+    """
+    chars = sorted((ord(piece), piece_id) for piece, piece_id in piece_ids.items() if len(piece) == 1)
+    codes, ids = np.array(chars, dtype=np.int64).reshape(-1, 2).T
+    text = np.frombuffer("".join(tokens).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    owner = np.repeat(np.arange(len(tokens)), np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens)))
+    held = np.isin(text, codes)
+    return ids[np.searchsorted(codes, text[held])] * len(tokens) + owner[held]
 
 
 def build_segmentation_matrix(
@@ -661,58 +673,43 @@ def build_segmentation_matrix(
     Enumeration mode (``max_substring_len`` given): every substring of
     every word up to the given length is a subword.
 
-    Subword ids are assigned lexicographically in both modes.
+    A dict numbers the pieces as they come, each (piece, word) pair is a
+    key ``piece * |V| + word_id``, and a rank array renumbers the pieces so
+    that subword ids are lexicographic in both modes.
     """
     if (lexicon is None) == (max_substring_len is None):
         raise ArgumentError("exactly one of lexicon and max_substring_len must be given")
     index = {word: position for position, word in enumerate(word_tokens)}
-    if len(index) != len(word_tokens):
+    word_count = len(word_tokens)
+    if len(index) != word_count:
         raise ValidationError("word tokens contain duplicates")
-    incidence: dict[str, set[int]] = {}
     if lexicon is not None:
-        for word, parts in lexicon.items():
-            word_id = index.get(word)
-            if word_id is None:
+        for word in lexicon.words():
+            if word not in index:
                 raise ValidationError(f"lexicon word {word!r} is not in the vocabulary")
-            for part in parts:
-                incidence.setdefault(part, set()).add(word_id)
-        for word, word_id in index.items():
-            for ch in set(word):
-                incidence.setdefault(ch, set()).add(word_id)
+        spans = ((index[word], parts) for word, parts in lexicon.items())
+    elif max_substring_len < 1:
+        raise ArgumentError(f"max_substring_len must be at least 1, got {max_substring_len}")
     else:
-        if max_substring_len < 1:
-            raise ArgumentError(f"max_substring_len must be at least 1, got {max_substring_len}")
-        for word, word_id in index.items():
-            n = len(word)
-            for start in range(n):
-                for stop in range(start + 1, min(start + max_substring_len, n) + 1):
-                    incidence.setdefault(word[start:stop], set()).add(word_id)
-    subwords = SubwordVocabulary(sorted(incidence))
-    rows = [sorted(incidence[token]) for token in subwords.tokens]
-    return subwords, SegmentationMatrix(len(word_tokens), rows)
-
-
-def _sparse_log_target(
-    incidence: sparse.csr_matrix, counts: CooccurrenceCounts, smoothing: float
-) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """The log targets as (c, S) with T[s, :] = c[s] + S[s, :]; see the module docstring."""
-    pooled = incidence @ counts.matrix()
-    totals = np.asarray(pooled.sum(axis=1)).ravel()
-    vocab_size = counts.vocab_size
-    if smoothing == 0.0:
-        short_rows = np.flatnonzero(np.diff(pooled.indptr) < vocab_size)
-        if short_rows.size:
-            row = int(short_rows[0])
-            present = np.zeros(vocab_size, dtype=bool)
-            present[pooled.indices[pooled.indptr[row] : pooled.indptr[row + 1]]] = True
-            raise NumericalError(
-                f"pooled count for subword row {row} and word column "
-                f"{int(np.argmin(present))} is zero; log target is undefined with smoothing 0"
-            )
-        pooled.data = np.log(pooled.data)
-        return -np.log(totals), pooled
-    pooled.data = np.log1p(pooled.data / smoothing)
-    return math.log(smoothing) - np.log(totals + smoothing * vocab_size), pooled
+        # One word's substrings at a time: holding 3,000 words' at once left 3 MB more resident.
+        spans = enumerate(
+            [word[i : i + k] for k in range(1, max_substring_len + 1) for i in range(len(word) - k + 1)]
+            for word in word_tokens
+        )
+    piece_ids: dict[str, int] = {}
+    keys = np.fromiter(
+        (piece_ids.setdefault(p, len(piece_ids)) * word_count + w for w, parts in spans for p in parts),
+        dtype=np.int64,
+    )
+    if lexicon is not None:
+        for ch in set("".join(word_tokens)):
+            piece_ids.setdefault(ch, len(piece_ids))
+        keys = np.concatenate([keys, _character_keys(word_tokens, piece_ids)])
+    tokens = sorted(piece_ids)
+    rank = np.argsort([piece_ids[token] for token in tokens])  # each piece id's place in tokens
+    piece, word_id = np.divmod(keys, max(word_count, 1))
+    keys = _sorted_unique(rank[piece] * word_count + word_id)
+    return SubwordVocabulary(tokens), SegmentationMatrix(word_count, len(tokens), keys)
 
 
 def _check_smoothing(smoothing: float) -> None:
@@ -814,9 +811,7 @@ def compute_subword_embeddings(
     argument error.
     """
     if len(subwords) != matrix.row_count:
-        raise ValidationError(
-            f"{len(subwords)} subwords but the incidence matrix has {matrix.row_count} rows"
-        )
+        raise ValidationError(f"{len(subwords)} subwords but {matrix.row_count} incidence matrix rows")
     if matrix.word_count != counts.vocab_size or counts.vocab_size != len(output_rows):
         raise ValidationError(
             "word coverage mismatch: matrix "
@@ -825,13 +820,13 @@ def compute_subword_embeddings(
     _check_smoothing(smoothing)
     if ridge is None:
         ridge = default_ridge(output_rows)
-    return EmbeddingTable._owning(
-        subwords.tokens, _solve_incidence(matrix.to_csr(), counts, output_rows, smoothing, ridge)
-    )
+    vectors = _solve_incidence(matrix.to_csr(), subwords.tokens, counts, output_rows, smoothing, ridge)
+    return EmbeddingTable._owning(subwords.tokens, vectors)
 
 
 def _solve_incidence(
     incidence: sparse.csr_matrix,
+    row_tokens: Sequence[str],
     counts: CooccurrenceCounts,
     output_rows: EmbeddingTable,
     smoothing: float,
@@ -839,13 +834,34 @@ def _solve_incidence(
 ) -> np.ndarray:
     """The solved vector of each row of an :func:`_incidence_csr`, bitwise the same in any subset of rows.
 
-    The inputs are not checked: :func:`compute_subword_embeddings` checks
-    its public inputs before calling this, and :func:`subseg.lexseg.refine`
-    checks its own once and calls this on the rows each pass re-solves.
+    The log targets are T[s, :] = c[s] + S[s, :] (see the module docstring);
+    a zero pooled cell with smoothing 0 is named by its row's ``row_tokens``
+    and its word's ``output_rows`` token.  The inputs are not checked:
+    :func:`compute_subword_embeddings` checks its public inputs before
+    calling this, and :func:`subseg.lexseg.refine` checks its own once and
+    calls this on the rows each pass re-solves.
     """
     factor = _ridge_factor(output_rows, ridge)
-    constants, logs = _sparse_log_target(incidence, counts, smoothing)
-    vectors = logs @ factor.projector
+    pooled = incidence @ counts.matrix()
+    totals = np.asarray(pooled.sum(axis=1)).ravel()
+    vocab_size = counts.vocab_size
+    if smoothing == 0.0:
+        short_rows = np.flatnonzero(np.diff(pooled.indptr) < vocab_size)
+        if short_rows.size:
+            row = int(short_rows[0])
+            present = np.zeros(vocab_size, dtype=bool)
+            present[pooled.indices[pooled.indptr[row] : pooled.indptr[row + 1]]] = True
+            word = output_rows.tokens[int(np.argmin(present))]
+            raise NumericalError(
+                f"pooled count for subword {row_tokens[row]!r} and word {word!r} is zero; "
+                "log target is undefined with smoothing 0"
+            )
+        pooled.data = np.log(pooled.data)
+        constants = -np.log(totals)
+    else:
+        pooled.data = np.log1p(pooled.data / smoothing)
+        constants = math.log(smoothing) - np.log(totals + smoothing * vocab_size)
+    vectors = pooled @ factor.projector
     vectors += np.outer(constants, factor.column_sums)
     if not np.all(np.isfinite(vectors)):
         raise NumericalError("subword solve produced non-finite vectors")

@@ -15,7 +15,6 @@ from subseg import (
     BigramModel,
     CooccurrenceCounts,
     EmbeddingTable,
-    SegmentationMatrix,
     SegmentedLexicon,
     START_SYMBOL,
     SubwordVocabulary,
@@ -46,6 +45,7 @@ from subseg import (
 )
 from subseg.cli import main
 
+from reference_solve import segmentation_matrix
 from synthdata import agglutinative_corpus, consistent_embeddings
 
 
@@ -102,7 +102,7 @@ def test_criterion_1_exact_regime_solver():
     word_solution = np.linalg.solve(rows, targets.T).T
 
     subwords = SubwordVocabulary(words)
-    identity = SegmentationMatrix(n, [(i,) for i in range(n)])
+    identity = segmentation_matrix(n, [(i,) for i in range(n)])
     solved = compute_subword_embeddings(
         subwords, identity, counts, output_rows, smoothing=0.0, ridge=0.0
     )

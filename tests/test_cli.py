@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from subseg import (
     beam_segment,
     boundary_prf,
     exact_segment,
+    load_counts,
     load_embeddings,
     load_lexicon,
     load_model,
@@ -26,6 +28,7 @@ from subseg import (
 from subseg.cli import main
 from subseg.errors import ParseError, ValidationError
 
+from reference_solve import reference_segmentation_matrix
 from synthdata import agglutinative_corpus, consistent_embeddings
 
 
@@ -203,6 +206,10 @@ def test_refine_reports_iteration_stats(pipeline, capsys, tmp_path):
         iteration, changed, size = line.split("\t")
         assert int(iteration) >= 1 and int(changed) >= 0 and int(size) >= 1
     assert out.read_bytes() == pipeline["refined"].read_bytes()
+    # an empty lexicon: one pass over no subwords, and an empty output
+    (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
+    assert main(_embedding_stage_args("refine", {**pipeline, "lex0": tmp_path / "empty.tsv"}, out)) == 0
+    assert capsys.readouterr().err == "1\t0\t0\n" and out.read_bytes() == b""
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
@@ -245,9 +252,15 @@ def test_refined_lexicon_validates(pipeline):
     assert set(gold.words()) <= set(refined.words())
 
 
-def test_subword_embeddings_file_round_trips(pipeline):
+def test_subword_embeddings_file_round_trips(pipeline, tmp_path):
     table = load_embeddings(pipeline["subemb"])
     assert table.dim == 16
+    # an empty lexicon leaves one subword per character of the vocabulary
+    (tmp_path / "empty.lex").write_text("", encoding="utf-8")
+    args = _embedding_stage_args("subword-embed", {**pipeline, "lex0": tmp_path / "empty.lex"}, tmp_path / "chars.txt")
+    assert main(args) == 0
+    chars = load_embeddings(tmp_path / "chars.txt")
+    assert chars.tokens == tuple(sorted(set("".join(load_vocabulary(pipeline["vocab"]).tokens))))
     final = load_embeddings(pipeline["refined_emb"])
     refined = load_lexicon(pipeline["refined"])
     used = {piece for _, parts in refined.items() for piece in parts}
@@ -740,25 +753,17 @@ def test_init_bpe_output_is_independent_of_the_hash_seed(pipeline, tmp_path):
 
 def test_numerical_errors_exit_4(pipeline, tmp_path, capsys):
     # lambda 0 hits the zero co-occurrence cells of the synthetic corpus
-    code = main(
-        [
-            "subword-embed",
-            "--vocab",
-            str(pipeline["vocab"]),
-            "--counts",
-            str(pipeline["counts"]),
-            "--output-matrix",
-            str(pipeline["outmat"]),
-            "--lexicon",
-            str(pipeline["lex0"]),
-            "--lambda",
-            "0",
-            "-o",
-            str(tmp_path / "out.txt"),
-        ]
-    )
-    assert code == 4
-    assert "error:" in capsys.readouterr().err
+    vocab = load_vocabulary(pipeline["vocab"])
+    subwords, matrix = reference_segmentation_matrix(vocab.tokens, lexicon=load_lexicon(pipeline["lex0"]))
+    pooled = matrix.to_csr() @ load_counts(pipeline["counts"]).matrix()
+    for command in ("subword-embed", "refine"):
+        code = main([*_embedding_stage_args(command, pipeline, tmp_path / "out.txt"), "--lambda", "0"])
+        assert code == 4
+        err = capsys.readouterr().err
+        named = re.search(r"error: pooled count for subword '(.+)' and word '(.+)' is zero", err)
+        assert named, err
+        # The error names, by its tokens, a zero cell of the first solve's pooled counts.
+        assert pooled[subwords.token_id(named[1]), vocab.token_id(named[2])] == 0
 
 
 def test_ridge_0_on_a_rank_deficient_output_matrix_exits_4(pipeline, tmp_path, capsys):

@@ -8,7 +8,6 @@ from subseg import (
     CooccurrenceCounts,
     CoverageError,
     EmbeddingTable,
-    SegmentationMatrix,
     SegmentedLexicon,
     ValidationError,
     build_segmentation_matrix,
@@ -24,7 +23,7 @@ from subseg import lexseg
 from subseg.lexseg import _split_at, _WordSubstrings
 from subseg.textio import ScoredSegmentation, _candidate_order
 
-from reference_solve import lexicon_incidence, right_inverse_solve, smoothed_log_target
+from reference_solve import lexicon_incidence, right_inverse_solve, segmentation_matrix, smoothed_log_target
 from synthdata import agglutinative_corpus, consistent_embeddings
 
 
@@ -481,7 +480,7 @@ def _two_word_setup():
     words = ["ab", "ba"]
     counts = CooccurrenceCounts(vocab_size=2, window=5, counts=[(0, 1, 6)])
     output_rows = EmbeddingTable(words, np.array([[1.0, 0.3], [-0.2, 1.0]]))
-    targets = smoothed_log_target(SegmentationMatrix(2, [(0,), (1,)]), counts)
+    targets = smoothed_log_target(segmentation_matrix(2, [(0,), (1,)]), counts)
     word_vectors = right_inverse_solve(targets, output_rows, ridge=default_ridge(output_rows))
     embeddings = EmbeddingTable(words, word_vectors)
     lexicon = SegmentedLexicon({"ab": ["ab"], "ba": ["ba"]})

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subseg import (
     ArgumentError,
@@ -12,7 +14,6 @@ from subseg import (
     EmbeddingTable,
     NumericalError,
     ParseError,
-    SegmentationMatrix,
     SegmentedLexicon,
     SubwordVocabulary,
     ValidationError,
@@ -26,7 +27,14 @@ from subseg import (
 from subseg import cooccur, subspace
 from subseg.subspace import _RidgeFactor
 
-from reference_solve import lexicon_incidence, right_inverse_solve, smoothed_log_target
+from reference_solve import (
+    lexicon_incidence,
+    matrix_rows,
+    reference_segmentation_matrix,
+    right_inverse_solve,
+    segmentation_matrix,
+    smoothed_log_target,
+)
 
 
 # Row-relative agreement required between the sparse solve and the dense
@@ -94,7 +102,7 @@ def test_program_built_tables_take_their_arrays_over_uncopied(tmp_path, monkeypa
     # The loader, the alignment and the solve never take the copying path.
     save_embeddings(adopted, tmp_path / "e.txt")
     counts = _counts_from_dense([[2, 1], [1, 3]])
-    matrix = SegmentationMatrix(2, [(0,), (0, 1)])
+    matrix = segmentation_matrix(2, [(0,), (0, 1)])
 
     def copying_constructor(*args):
         raise AssertionError("EmbeddingTable copied an array the program built")
@@ -427,22 +435,21 @@ def test_lexicon_mode_with_char_augmentation():
     lexicon = SegmentedLexicon({"ab": ["a", "b"]})
     subwords, matrix = build_segmentation_matrix(vocab_words, lexicon=lexicon)
     assert set(subwords.tokens) >= {"a", "b"}
-    a_row = matrix.row(subwords.token_id("a"))
-    b_row = matrix.row(subwords.token_id("b"))
-    assert a_row == (0,) and b_row == (0,)
+    rows = matrix_rows(matrix)
+    assert rows[subwords.token_id("a")] == (0,) and rows[subwords.token_id("b")] == (0,)
 
 
 def test_enumeration_mode_lists_all_substrings():
     subwords, matrix = build_segmentation_matrix(["ab"], max_substring_len=2)
     assert subwords.tokens == ("a", "ab", "b")
-    assert sum(len(row) for row in matrix.rows) == 3
+    assert sum(len(row) for row in matrix_rows(matrix)) == 3
 
 
 def test_incidence_is_binary_not_a_count():
     # "a" occurs twice inside "aba" but the row marks the word once
     lexicon = SegmentedLexicon({"aba": ["ab", "a"]})
     subwords, matrix = build_segmentation_matrix(["aba"], lexicon=lexicon)
-    assert matrix.row(subwords.token_id("a")) == (0,)
+    assert matrix_rows(matrix)[subwords.token_id("a")] == (0,)
     dense = matrix.to_csr().toarray()
     assert set(np.unique(dense)) <= {0.0, 1.0}
 
@@ -470,13 +477,40 @@ def test_char_augmentation_guarantees_full_cover():
     assert {"a", "b", "c", "x", "y", "z"} <= set(subwords.tokens)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    words=st.lists(st.text("abc\U0001d518", min_size=1, max_size=6), max_size=8, unique=True),
+    cuts=st.lists(st.sets(st.integers(1, 5)), max_size=8),
+    kept=st.lists(st.booleans(), max_size=8),
+    max_substring_len=st.integers(1, 4),
+)
+# "abab" splits into a piece it repeats, "\U0001d518a" (outside the BMP) is
+# missing from the lexicon, and substrings are single characters.
+@example(words=["abab", "\U0001d518a", "c"], cuts=[{2}, set(), set()], kept=[True, False, True], max_substring_len=1)
+@example(words=["ab", "ba"], cuts=[], kept=[], max_substring_len=2)  # an empty lexicon
+def test_segmentation_matrix_equals_the_dict_of_sets_reference(words, cuts, kept, max_substring_len):
+    """Lexicon words are those marked in ``kept``, each cut at its ``cuts`` inside the word."""
+    entries = {}
+    for word, keep, cut in zip(words, kept, cuts):
+        ends = sorted(end for end in cut if end < len(word))
+        if keep:
+            entries[word] = [word[start:end] for start, end in zip([0, *ends], [*ends, len(word)])]
+    lexicon = SegmentedLexicon(entries)
+    for mode in ({"lexicon": lexicon}, {"max_substring_len": max_substring_len}):
+        subwords, matrix = build_segmentation_matrix(words, **mode)
+        expected_subwords, expected = reference_segmentation_matrix(words, **mode)
+        assert subwords.tokens == expected_subwords.tokens
+        assert np.array_equal(matrix.to_csr().toarray(), expected.to_csr().toarray())
+
+
 def test_segmentation_matrix_validation():
-    with pytest.raises(ValidationError, match="empty"):
-        SegmentationMatrix(2, [()])
-    with pytest.raises(ValidationError, match="sorted"):
-        SegmentationMatrix(2, [(1, 0)])
-    with pytest.raises(ValidationError, match="out-of-range"):
-        SegmentationMatrix(2, [(0, 5)])
+    # keys row * 2 + word_id: a row without keys, keys out of order, a key past the last row
+    with pytest.raises(ValidationError, match="row 1 is empty"):
+        segmentation_matrix(2, [(0,), (), (1,)])
+    with pytest.raises(ValidationError, match="row 0 is not sorted"):
+        segmentation_matrix(2, [(1, 0)])
+    with pytest.raises(ValidationError, match="row 2 is out of range"):
+        segmentation_matrix(2, [(0, 5)])
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +519,7 @@ def test_segmentation_matrix_validation():
 
 def test_log_target_single_word_identity():
     counts = _counts_from_dense([[4]])
-    matrix = SegmentationMatrix(1, [(0,)])
+    matrix = segmentation_matrix(1, [(0,)])
     target = smoothed_log_target(matrix, counts, smoothing=0.0)
     assert target.shape == (1, 1)
     assert target[0, 0] == 0.0  # log(4/4)
@@ -493,7 +527,7 @@ def test_log_target_single_word_identity():
 
 def test_log_target_hand_evaluated_rows():
     counts = _counts_from_dense([[3, 1], [1, 2]])
-    row_for_word0 = SegmentationMatrix(2, [(0,)])
+    row_for_word0 = segmentation_matrix(2, [(0,)])
     target = smoothed_log_target(row_for_word0, counts, smoothing=0.0)
     assert target[0, 0] == pytest.approx(math.log(0.75), abs=1e-15)
     assert target[0, 1] == pytest.approx(math.log(0.25), abs=1e-15)
@@ -501,7 +535,7 @@ def test_log_target_hand_evaluated_rows():
 
 def test_log_target_smoothing_fills_zeros():
     counts = _counts_from_dense([[3, 0], [0, 1]])
-    row_for_word0 = SegmentationMatrix(2, [(0,)])
+    row_for_word0 = segmentation_matrix(2, [(0,)])
     target = smoothed_log_target(row_for_word0, counts, smoothing=1.0)
     assert target[0, 0] == pytest.approx(math.log(4 / 5), abs=1e-15)
     assert target[0, 1] == pytest.approx(math.log(1 / 5), abs=1e-15)
@@ -509,9 +543,9 @@ def test_log_target_smoothing_fills_zeros():
 
 def test_log_target_zero_entry_without_smoothing_names_cell():
     counts = _counts_from_dense([[3, 0], [0, 1]])
-    row_for_word0 = SegmentationMatrix(2, [(0,)])
+    row_for_word0 = segmentation_matrix(2, [(0,)])
     table = EmbeddingTable(["a", "b"], np.eye(2))
-    with pytest.raises(NumericalError, match=r"row 0.*column 1"):
+    with pytest.raises(NumericalError, match=r"subword 'a' and word 'b' is zero"):
         compute_subword_embeddings(
             SubwordVocabulary(["a"]), row_for_word0, counts, table, smoothing=0.0
         )
@@ -537,7 +571,7 @@ def test_log_target_rejects_negative_smoothing():
     table = EmbeddingTable(["a"], np.eye(1))
     with pytest.raises(ArgumentError, match="smoothing"):
         compute_subword_embeddings(
-            SubwordVocabulary(["a"]), SegmentationMatrix(1, [(0,)]), counts, table, smoothing=-0.5
+            SubwordVocabulary(["a"]), segmentation_matrix(1, [(0,)]), counts, table, smoothing=-0.5
         )
 
 
@@ -546,7 +580,7 @@ def test_log_target_checks_dimension_agreement():
     table = EmbeddingTable(["a", "b"], np.eye(2))
     with pytest.raises(ValidationError, match="word coverage mismatch"):
         compute_subword_embeddings(
-            SubwordVocabulary(["a"]), SegmentationMatrix(2, [(0, 1)]), counts, table
+            SubwordVocabulary(["a"]), segmentation_matrix(2, [(0, 1)]), counts, table
         )
 
 
@@ -595,7 +629,7 @@ def test_rank_deficient_without_ridge_advises_ridge():
     rows = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # rank 1
     table = EmbeddingTable(["a", "b", "c"], rows)
     counts = _counts_from_dense([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
-    subwords, matrix = SubwordVocabulary(["a"]), SegmentationMatrix(3, [(0,)])
+    subwords, matrix = SubwordVocabulary(["a"]), segmentation_matrix(3, [(0,)])
     with pytest.raises(NumericalError, match="ridge"):
         compute_subword_embeddings(subwords, matrix, counts, table, ridge=0.0)
     # a positive ridge makes the same system solvable
@@ -607,7 +641,7 @@ def test_solver_rejects_an_output_matrix_wider_than_its_words():
     # Two words cannot determine three coordinates, whatever the ridge.
     table = EmbeddingTable(["a", "b"], np.random.default_rng(0).normal(size=(2, 3)))
     counts = _counts_from_dense([[1, 1], [1, 1]])
-    subwords, matrix = SubwordVocabulary(["a"]), SegmentationMatrix(2, [(0,)])
+    subwords, matrix = SubwordVocabulary(["a"]), segmentation_matrix(2, [(0,)])
     for ridge in (None, 0.0, 1.0):
         with pytest.raises(ArgumentError, match="embedding dimension 3 exceeds vocabulary size 2"):
             compute_subword_embeddings(subwords, matrix, counts, table, ridge=ridge)
@@ -616,7 +650,7 @@ def test_solver_rejects_an_output_matrix_wider_than_its_words():
 def test_solver_rejects_negative_ridge():
     table = EmbeddingTable(["a", "b"], np.eye(2))
     counts = _counts_from_dense([[1, 1], [1, 1]])
-    subwords, matrix = SubwordVocabulary(["a"]), SegmentationMatrix(2, [(0,)])
+    subwords, matrix = SubwordVocabulary(["a"]), segmentation_matrix(2, [(0,)])
     with pytest.raises(ArgumentError, match="ridge"):
         compute_subword_embeddings(subwords, matrix, counts, table, ridge=-1.0)
 
@@ -625,7 +659,7 @@ def test_solver_rejects_negative_ridge():
 def test_non_finite_ridge_and_smoothing_are_argument_errors(value):
     table = EmbeddingTable(["a", "b"], np.eye(2))
     counts = _counts_from_dense([[1, 1], [1, 1]])
-    subwords, matrix = SubwordVocabulary(["a"]), SegmentationMatrix(2, [(0,)])
+    subwords, matrix = SubwordVocabulary(["a"]), segmentation_matrix(2, [(0,)])
     with pytest.raises(ArgumentError, match="ridge must be finite"):
         compute_subword_embeddings(subwords, matrix, counts, table, ridge=value)
     with pytest.raises(ArgumentError, match="smoothing must be finite"):
@@ -721,7 +755,7 @@ def _word_identity_setup(rng, n):
     rows = rng.normal(size=(n, n)) + np.eye(n) * n
     table = EmbeddingTable(words, rows)
     subwords = SubwordVocabulary(words)
-    matrix = SegmentationMatrix(n, [(i,) for i in range(n)])
+    matrix = segmentation_matrix(n, [(i,) for i in range(n)])
     return words, counts, table, subwords, matrix
 
 
@@ -749,7 +783,7 @@ def test_single_word_subword_solves_that_words_row():
     ridge = default_ridge(table)
     result = compute_subword_embeddings(subwords, matrix, counts, table)
     # "ab" pools only word "ab", so its row solves exactly that word's target
-    word_target = smoothed_log_target(SegmentationMatrix(2, [(0,)]), counts)
+    word_target = smoothed_log_target(segmentation_matrix(2, [(0,)]), counts)
     oracle = right_inverse_solve(word_target, table, ridge=ridge)
     assert _row_relative_error(result.vectors[:1], oracle) <= ORACLE_TOLERANCE
 
@@ -761,7 +795,7 @@ def _wide_setup(rng, n_words, dim):
     table = EmbeddingTable([f"w{i}" for i in range(n_words)], rng.normal(size=(n_words, dim)))
     rows = [tuple(range(i, n_words, 5 + i)) for i in range(24)]
     subwords = SubwordVocabulary([f"s{i}" for i in range(len(rows))])
-    return counts, table, subwords, SegmentationMatrix(n_words, rows)
+    return counts, table, subwords, segmentation_matrix(n_words, rows)
 
 
 def test_result_is_independent_of_batch_partitioning():
@@ -773,7 +807,7 @@ def test_result_is_independent_of_batch_partitioning():
         for position, token in enumerate(subwords.tokens):
             alone = compute_subword_embeddings(
                 SubwordVocabulary([token]),
-                SegmentationMatrix(matrix.word_count, [matrix.row(position)]),
+                segmentation_matrix(matrix.word_count, [matrix_rows(matrix)[position]]),
                 counts,
                 table,
             )
@@ -822,7 +856,7 @@ def _random_solve_case(rng, positive):
         size = int(rng.integers(1, n + 1))
         rows.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
     subwords = SubwordVocabulary([f"s{i}" for i in range(len(rows))])
-    return counts, table, subwords, SegmentationMatrix(n, rows)
+    return counts, table, subwords, segmentation_matrix(n, rows)
 
 
 @pytest.mark.parametrize("smoothing", [0.0, 0.05, 0.1, 1.0])
@@ -849,11 +883,11 @@ def test_zero_pooled_cell_without_smoothing_names_cell_in_solve():
     # co-occurs with word 1
     counts = _counts_from_dense([[3, 0, 1], [0, 2, 1], [1, 1, 4]])
     table = EmbeddingTable(["a", "b", "c"], np.eye(3))
-    matrix = SegmentationMatrix(3, [(2,), (0,)])
+    matrix = segmentation_matrix(3, [(2,), (0,)])
     subwords = SubwordVocabulary(["s0", "s1"])
-    with pytest.raises(NumericalError, match=r"row 1 and word column 1 is zero"):
+    with pytest.raises(NumericalError, match=r"subword 's1' and word 'b' is zero"):
         compute_subword_embeddings(subwords, matrix, counts, table, smoothing=0.0)
     # pooling words 0 and 1 fills every column, so the same counts solve
-    pooled_rows = SegmentationMatrix(3, [(2,), (0, 1)])
+    pooled_rows = segmentation_matrix(3, [(2,), (0, 1)])
     solved = compute_subword_embeddings(subwords, pooled_rows, counts, table, smoothing=0.0)
     assert np.isfinite(solved.vectors).all()
