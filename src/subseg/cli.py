@@ -8,8 +8,9 @@ segmented corpus into a bigram model, ``segment`` applies that model, and the
 ``eval-*`` commands score outputs.
 
 Exit codes: 2 usage, 3 invalid data, 4 numerical failure, 5 I/O.  File
-outputs are written atomically; ``-`` reads stdin or writes stdout, both as
-strict UTF-8 like files.
+outputs are written atomically.  ``-`` is stdin as the corpus or tokens
+positional and stdout as the ``-o`` of ``segment-embed``, ``segment`` and
+``eval-*``, both strict UTF-8 like files; ``-`` for any other path exits 2.
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def _output_stream(path: str) -> Iterator[IO[str]]:
     else:
         with textio.atomic_text_writer(path) as handle:
             yield handle
+
+
+def _file(text: str) -> str:
+    """A path option a stage opens by name, where ``-`` stands for no stream."""
+    if text == "-":
+        raise argparse.ArgumentTypeError("'-' is not a stream here; give a file path")
+    return text
 
 
 def _parse_ridge(text: str) -> float | None:
@@ -337,59 +345,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="?", default="-", help="corpus file or - for stdin")
     p.add_argument("--max-size", type=int, default=200_000, help="keep at most this many types")
     p.add_argument("--min-freq", type=int, default=1, help="drop rarer types")
-    p.add_argument("-o", "--output", required=True, help="vocabulary file to write")
+    p.add_argument("-o", "--output", type=_file, required=True, help="vocabulary file to write")
     p.set_defaults(func=_cmd_vocab)
 
     p = commands.add_parser("cooc", help="count windowed co-occurrences")
     p.add_argument("corpus", nargs="?", default="-")
-    p.add_argument("--vocab", required=True, help="vocabulary file")
+    p.add_argument("--vocab", type=_file, required=True, help="vocabulary file")
     p.add_argument("--window", type=int, default=5, help="window size in positions")
-    p.add_argument("-o", "--output", required=True, help="counts file to write")
+    p.add_argument("-o", "--output", type=_file, required=True, help="counts file to write")
     p.set_defaults(func=_cmd_cooc)
 
     p = commands.add_parser(
         "init-bpe", help="bootstrap an initial lexicon with pair merging"
     )
     p.add_argument("corpus", nargs="?", default="-")
-    p.add_argument("--vocab", required=True, help="vocabulary whose words get segmented")
+    p.add_argument("--vocab", type=_file, required=True, help="vocabulary whose words get segmented")
     p.add_argument("--target-size", type=int, required=True, help="induced subword inventory size")
-    p.add_argument("--lexicon-out", required=True, help="initial lexicon file to write")
-    p.add_argument("--merges-out", default=None, help="optionally save the merge rules")
+    p.add_argument("--lexicon-out", type=_file, required=True, help="initial lexicon file to write")
+    p.add_argument("--merges-out", type=_file, default=None, help="optionally save the merge rules")
     p.set_defaults(func=_cmd_init_bpe)
 
     p = commands.add_parser("subword-embed", help="solve subword vectors in the word space")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--counts", required=True, help="co-occurrence counts file")
-    p.add_argument("--output-matrix", required=True, help="per-word output vectors (W rows)")
+    p.add_argument("--vocab", type=_file, required=True)
+    p.add_argument("--counts", type=_file, required=True, help="co-occurrence counts file")
+    p.add_argument("--output-matrix", type=_file, required=True, help="per-word output vectors (W rows)")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--lexicon", default=None, help="segmented lexicon defining the subwords")
+    group.add_argument("--lexicon", type=_file, default=None, help="segmented lexicon defining the subwords")
     group.add_argument(
         "--substr-max-len", type=int, default=None, help="enumerate all substrings up to this length"
     )
     p.add_argument("--lambda", dest="smoothing", type=float, default=0.1, help="additive smoothing")
     p.add_argument("--ridge", default="auto", help="ridge strength or 'auto'")
-    p.add_argument("-o", "--output", required=True, help="subword embedding file to write")
+    p.add_argument("-o", "--output", type=_file, required=True, help="subword embedding file to write")
     p.set_defaults(func=_cmd_subword_embed)
 
     p = commands.add_parser("refine", help="alternate subword solving and re-segmentation")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--counts", required=True)
-    p.add_argument("--embeddings", required=True, help="per-word input vectors (E rows)")
-    p.add_argument("--output-matrix", required=True, help="per-word output vectors (W rows)")
-    p.add_argument("--lexicon", required=True, help="initial segmented lexicon")
+    p.add_argument("--vocab", type=_file, required=True)
+    p.add_argument("--counts", type=_file, required=True)
+    p.add_argument("--embeddings", type=_file, required=True, help="per-word input vectors (E rows)")
+    p.add_argument("--output-matrix", type=_file, required=True, help="per-word output vectors (W rows)")
+    p.add_argument("--lexicon", type=_file, required=True, help="initial segmented lexicon")
     p.add_argument("--alpha", type=float, default=1.0, help="per-subword score penalty")
     p.add_argument("--lambda", dest="smoothing", type=float, default=0.1)
     p.add_argument("--ridge", default="auto")
     p.add_argument("--max-iters", type=int, default=10)
-    p.add_argument("-o", "--output", required=True, help="refined lexicon file to write")
+    p.add_argument("-o", "--output", type=_file, required=True, help="refined lexicon file to write")
     p.add_argument(
-        "--subword-embeddings-out", default=None, help="optionally save the final subword vectors"
+        "--subword-embeddings-out", type=_file, default=None, help="optionally save the final subword vectors"
     )
     p.set_defaults(func=_cmd_refine)
 
     p = commands.add_parser("segment-embed", help="apply a segmented lexicon to running text")
     p.add_argument("corpus", nargs="?", default="-")
-    p.add_argument("--lexicon", required=True)
+    p.add_argument("--lexicon", type=_file, required=True)
     p.add_argument(
         "--oov-policy",
         choices=textio.OOV_POLICIES,
@@ -411,12 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="treat this token as a word delimiter instead of newlines",
     )
-    p.add_argument("-o", "--output", required=True, help="model file to write")
+    p.add_argument("-o", "--output", type=_file, required=True, help="model file to write")
     p.set_defaults(func=_cmd_distill)
 
     p = commands.add_parser("segment", help="segment running text with a bigram model")
     p.add_argument("corpus", nargs="?", default="-")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", type=_file, required=True)
     p.add_argument("--beam", type=int, default=5, help="beam width")
     p.add_argument("--exact", action="store_true", help="use the exact dynamic program")
     p.add_argument("--word-per-line", action="store_true")
@@ -424,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_segment)
 
     p = commands.add_parser("eval-boundaries", help="boundary precision/recall/F1")
-    p.add_argument("--pred", required=True, help="predicted segmented lexicon")
-    p.add_argument("--gold", required=True, help="gold segmented lexicon")
+    p.add_argument("--pred", type=_file, required=True, help="predicted segmented lexicon")
+    p.add_argument("--gold", type=_file, required=True, help="gold segmented lexicon")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_eval_boundaries)
 

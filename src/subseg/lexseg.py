@@ -12,14 +12,13 @@ Refinement alternates two steps over a whole lexicon: solve subword
 vectors for the current segmentations, then re-segment every word with
 those vectors, pruning subwords that fall out of use.  The subword
 inventory can only shrink, and the loop stops at the first pass that
-changes no word.  The incidence is one sorted int64 array of
-``piece_id * |V| + word_id`` keys read off the DP's cut masks; the final
-keys, renumbered to token order, make the result's
-:class:`~subseg.subspace.SegmentationMatrix`.  Refinement is incremental
-and exact: each solved row depends only on its own incidence row, so a
-pass solves, from a CSR of their keys, only the surviving rows keyed in
-the symmetric difference of its old and new keys, and re-scores only the
-(word, substring) pairs of those rows.  The pairs
+changes no word.  Every pass solves against one ridge factor of the
+output matrix, built before the first.  The incidence is one sorted int64
+array of ``piece_id * |V| + word_id`` keys read off the DP's cut masks.
+Refinement is incremental and exact: each solved row depends only on its
+own incidence row, so a pass solves, from a CSR of their keys, only the
+surviving rows keyed in the symmetric difference of its old and new keys,
+and re-scores only the (word, substring) pairs of those rows.  The pairs
 are numbered once, by ``np.unique`` over every span of every word, and
 re-scored in blocks of ``_GATHER_BYTES`` per gathered operand.  The
 scores equal :func:`cosine` bit for bit, so refinement segments exactly as
@@ -41,13 +40,12 @@ from subseg.errors import ArgumentError, CoverageError, ValidationError
 from subseg.cooccur import CooccurrenceCounts
 from subseg.subspace import (
     EmbeddingTable,
-    SegmentationMatrix,
     _character_keys,
     _check_smoothing,
     _incidence_csr,
+    _ridge_factor,
     _solve_incidence,
     _sorted_unique,
-    default_ridge,
 )
 # Defined in textio, which imports no numpy.  OOV_POLICIES stays importable
 # from its old home here.
@@ -74,11 +72,11 @@ class RefinementState:
     ``embeddings`` holds the subword vectors used for the final
     re-segmentation pass, restricted to the surviving subwords; at
     convergence they are exactly the vectors of the final incidence.
+    :func:`refine` refuses an output matrix it cannot solve against before its first pass.
     """
 
     iterations: int
     subwords: SubwordVocabulary
-    matrix: SegmentationMatrix
     embeddings: EmbeddingTable
     lexicon: SegmentedLexicon
     history: tuple[IterationStats, ...]
@@ -192,8 +190,8 @@ class _WordSubstrings:
         self.cosines = np.zeros(keys.size + 1, dtype=np.float64)
         self.present = np.zeros(keys.size + 1, dtype=bool)
 
-    def score(self, vectors: np.ndarray, piece_row: np.ndarray, pieces: np.ndarray | None = None) -> None:
-        """Re-score the pairs of ``pieces`` (an array of piece ids; all pieces when None).
+    def score(self, vectors: np.ndarray, piece_row: np.ndarray, chosen: np.ndarray | None = None) -> None:
+        """Re-score the pairs of the pieces ``chosen`` marks (a boolean mask over piece ids; all when None).
 
         ``piece_row`` maps every piece id to its row of ``vectors``, or to -1
         for a piece without a vector; a pair is present when its piece has a
@@ -201,11 +199,7 @@ class _WordSubstrings:
         """
         rows = piece_row[self.pair_piece]
         np.greater_equal(rows, 0, out=self.present[:-1])
-        wanted = piece_row >= 0
-        if pieces is not None:
-            chosen = np.zeros(piece_row.size, dtype=bool)
-            chosen[pieces] = True
-            wanted &= chosen
+        wanted = (piece_row >= 0) if chosen is None else (piece_row >= 0) & chosen
         todo = np.flatnonzero(wanted[self.pair_piece])
         block_rows = max(1, _GATHER_BYTES // (vectors.shape[1] * vectors.itemsize))
         # Only the rows of wanted pieces are read, each norm computed once.
@@ -408,8 +402,8 @@ def refine(
     sorted order, and the incidence becomes that of the new segmentations
     alone, so unused subwords drop out.  The subword inventory never grows.
     Iteration stops after ``max_iters`` passes or the first pass with zero
-    changed words.  ``ridge=None`` resolves the scale-aware default once
-    for the whole run; ``alpha`` must be finite.
+    changed words.  ``ridge=None`` selects the scale-aware default;
+    ``alpha`` must be finite.
 
     The result equals solving the whole incidence and re-segmenting each
     word with :func:`embedding_segment` on every pass, bit for bit, but a
@@ -418,11 +412,11 @@ def refine(
     that are substrings of some lexicon word are solved at all; and only
     the (word, piece) cosines of re-solved pieces are recomputed.  The
     incidence is one sorted array of ``piece_id * |V| + word_id`` keys,
-    taken from each pass's cut masks, as is the final result.  The solve
-    and the output matrix are checked as :func:`compute_subword_embeddings`
-    checks them: a bad ``smoothing`` before any work, and a matrix with more
-    dimensions than words or a ridge that does not regularize it at the
-    first solve.
+    taken from each pass's cut masks.  The solve and the output matrix are
+    checked as :func:`compute_subword_embeddings` checks them: a bad
+    ``smoothing`` before any work, and a matrix with more dimensions than
+    words or a ridge that does not regularize it before the first pass, as
+    the one ridge factor of every pass is built, even on an empty lexicon.
     """
     _check_alpha(alpha)
     if max_iters < 1:
@@ -441,8 +435,6 @@ def refine(
             raise ValidationError(f"lexicon word {word!r} has no word embedding")
     _check_smoothing(smoothing)
 
-    if ridge is None:
-        ridge = default_ridge(output_rows)
     vocab_size = counts.vocab_size
     words = sorted(lexicon0.words())
     word_ids = np.array([word_embeddings.token_id(word) for word in words], dtype=np.int64)
@@ -456,19 +448,23 @@ def refine(
     # The first pass solves the keys of lexicon0 and of every single
     # character over the vocabulary words that hold it, restricted to the
     # rows the DP can use (substrings of lexicon words); each later pass,
-    # those of the segmentations alone.  A piece keeps one row of ``vectors``.
+    # those of the segmentations alone.  A piece keeps one row of ``vectors``,
+    # and ``dirty`` marks the pieces a pass solves.
     keys = incidence(masks, _character_keys(word_embeddings.tokens, substrings.piece_ids))
     names = list(substrings.piece_ids)
-    dirty = _sorted_unique(keys // vocab_size)
+    dirty = np.zeros(len(names), dtype=bool)
+    dirty[keys // vocab_size] = True
     piece_row = np.full(len(names), -1, dtype=np.intp)
-    piece_row[dirty] = np.arange(dirty.size)
-    vectors = np.empty((dirty.size, output_rows.dim), dtype=np.float64)
+    piece_row[dirty] = np.arange(np.count_nonzero(dirty))
+    vectors = np.empty((np.count_nonzero(dirty), output_rows.dim), dtype=np.float64)
+    factor = _ridge_factor(output_rows, ridge)
     history: list[IterationStats] = []
     for iteration in range(1, max_iters + 1):
-        if dirty.size:
-            rows = _incidence_csr(keys[np.isin(keys // vocab_size, dirty)], vocab_size)
-            vectors[piece_row[dirty]] = _solve_incidence(
-                rows, [names[piece] for piece in dirty.tolist()], counts, output_rows, smoothing, ridge
+        solving = np.flatnonzero(dirty)
+        if solving.size:
+            rows = _incidence_csr(keys[dirty[keys // vocab_size]], vocab_size)
+            vectors[piece_row[solving]] = _solve_incidence(
+                rows, [names[piece] for piece in solving.tolist()], counts, output_rows, factor, smoothing
             )
         substrings.score(vectors, piece_row, dirty)
         old_masks, masks = masks, [cuts for _, _, cuts in substrings.segment(alpha)]
@@ -478,8 +474,9 @@ def refine(
         alive[new_keys // vocab_size] = True
         piece_row[~alive] = -1
         # Only the rows whose word set changed and that still exist are solved again.
-        touched = _sorted_unique(np.setxor1d(keys, new_keys, assume_unique=True) // vocab_size)
-        dirty = touched[alive[touched]]
+        dirty = np.zeros(piece_row.size, dtype=bool)
+        dirty[np.setxor1d(keys, new_keys, assume_unique=True) // vocab_size] = True
+        dirty &= alive
         keys = new_keys
         stats = IterationStats(iteration, changed, int(alive.sum()))
         history.append(stats)
@@ -490,16 +487,11 @@ def refine(
     lexicon: dict[str, list[str]] = {word: [] for word in words}
     for position, start, end in zip(*(column.tolist() for column in substrings.pieces(masks)[:3])):
         lexicon[words[position]].append(words[position][start:end])
-    # The final keys, renumbered to the subwords' sorted token order.
-    pieces = sorted(_sorted_unique(keys // vocab_size).tolist(), key=names.__getitem__)
+    pieces = sorted(np.flatnonzero(piece_row >= 0).tolist(), key=names.__getitem__)
     tokens = [names[piece] for piece in pieces]
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[pieces] = np.arange(len(pieces))
-    piece_of, word_of = np.divmod(keys, vocab_size)
     return RefinementState(
         iterations=history[-1].iteration,
         subwords=SubwordVocabulary(tokens),
-        matrix=SegmentationMatrix(vocab_size, len(tokens), np.sort(rank[piece_of] * vocab_size + word_of)),
         embeddings=EmbeddingTable._owning(tokens, vectors[piece_row[pieces]]),
         lexicon=SegmentedLexicon(lexicon),
         history=tuple(history),

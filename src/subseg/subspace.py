@@ -14,8 +14,8 @@ subword input vectors are recovered by a ridge-regularized right inverse
 where the output matrix W (dim x |V|) is stored as one row per word.  P
 (|V| x dim) is built from the dim x dim Gram matrix W W^T + ridge I with
 numpy alone (``_RidgeFactor`` states its conditioning check and error
-bound), once per output matrix, and kept on its table, so repeated solves
-against the same W reuse it.
+bound), once per solving call; :func:`subseg.lexseg.refine` builds one per
+run and solves every pass against it.
 
 The targets are never formed densely.  With smoothing lambda > 0, row s is
 a constant plus a sparse row,
@@ -96,7 +96,7 @@ _T = TypeVar("_T")
 class EmbeddingTable:
     """Immutable dense token-to-vector table with float64 rows."""
 
-    __slots__ = ("_tokens", "_vectors", "_index", "_factor")
+    __slots__ = ("_tokens", "_vectors", "_index")
 
     def __init__(self, tokens: Sequence[str], vectors: np.ndarray):
         self._adopt(tuple(tokens), np.array(vectors, dtype=np.float64, copy=True))
@@ -130,8 +130,6 @@ class EmbeddingTable:
         self._tokens = tokens
         self._vectors = vectors
         self._index = index
-        # Ridge factor of these rows used as an output matrix; see _ridge_factor.
-        self._factor: _RidgeFactor | None = None
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -769,16 +767,13 @@ class _RidgeFactor:
         for start in range(0, len(projector), _PROJECTION_ROWS):
             stop = start + _PROJECTION_ROWS
             np.matmul(output_vectors[start:stop], inverse, out=projector[start:stop])
-        self.ridge = ridge
         self.projector = projector
         self.column_sums = self.projector.sum(axis=0)
 
 
-def _ridge_factor(output_rows: EmbeddingTable, ridge: float) -> _RidgeFactor:
-    """The factor of ``output_rows`` for ``ridge``, kept on the immutable table.
+def _ridge_factor(output_rows: EmbeddingTable, ridge: float | None) -> _RidgeFactor:
+    """A new factor of ``output_rows``, held by its caller; ``ridge=None`` selects :func:`default_ridge`.
 
-    Only the most recent ridge is kept, so solving repeatedly against one
-    table with one ridge (as :func:`subseg.lexseg.refine` does) factorizes once.
     A table with more dimensions than words is refused: the solve would be
     underdetermined, however the ridge regularizes it.
     """
@@ -786,11 +781,7 @@ def _ridge_factor(output_rows: EmbeddingTable, ridge: float) -> _RidgeFactor:
         raise ArgumentError(
             f"embedding dimension {output_rows.dim} exceeds vocabulary size {len(output_rows)}"
         )
-    factor = output_rows._factor
-    if factor is None or factor.ridge != ridge:
-        factor = _RidgeFactor(output_rows.vectors, ridge)
-        output_rows._factor = factor
-    return factor
+    return _RidgeFactor(output_rows.vectors, default_ridge(output_rows) if ridge is None else ridge)
 
 
 def compute_subword_embeddings(
@@ -804,11 +795,11 @@ def compute_subword_embeddings(
     """Pool, smooth, and solve: subword vectors in the word embedding space.
 
     The dense targets T are never built: the solve T P is computed from
-    their sparse-plus-constant form (see the module docstring) against the
-    output matrix's cached factor.  Each row depends only on its own
-    incidence row.  ``ridge=None`` selects the scale-aware default.  An
-    output matrix with more dimensions than words is refused with an
-    argument error.
+    their sparse-plus-constant form (see the module docstring) against a
+    factor of the output matrix built for this call.  Each row depends only
+    on its own incidence row.  ``ridge=None`` selects the scale-aware
+    default.  An output matrix with more dimensions than words is refused
+    with an argument error.
     """
     if len(subwords) != matrix.row_count:
         raise ValidationError(f"{len(subwords)} subwords but {matrix.row_count} incidence matrix rows")
@@ -818,9 +809,8 @@ def compute_subword_embeddings(
             f"{matrix.word_count}, counts {counts.vocab_size}, output rows {len(output_rows)}"
         )
     _check_smoothing(smoothing)
-    if ridge is None:
-        ridge = default_ridge(output_rows)
-    vectors = _solve_incidence(matrix.to_csr(), subwords.tokens, counts, output_rows, smoothing, ridge)
+    factor = _ridge_factor(output_rows, ridge)
+    vectors = _solve_incidence(matrix.to_csr(), subwords.tokens, counts, output_rows, factor, smoothing)
     return EmbeddingTable._owning(subwords.tokens, vectors)
 
 
@@ -829,19 +819,19 @@ def _solve_incidence(
     row_tokens: Sequence[str],
     counts: CooccurrenceCounts,
     output_rows: EmbeddingTable,
+    factor: _RidgeFactor,
     smoothing: float,
-    ridge: float,
 ) -> np.ndarray:
     """The solved vector of each row of an :func:`_incidence_csr`, bitwise the same in any subset of rows.
 
     The log targets are T[s, :] = c[s] + S[s, :] (see the module docstring);
     a zero pooled cell with smoothing 0 is named by its row's ``row_tokens``
-    and its word's ``output_rows`` token.  The inputs are not checked:
+    and its word's ``output_rows`` token.  ``factor`` is the caller's
+    :func:`_ridge_factor` of ``output_rows``.  The inputs are not checked:
     :func:`compute_subword_embeddings` checks its public inputs before
     calling this, and :func:`subseg.lexseg.refine` checks its own once and
     calls this on the rows each pass re-solves.
     """
-    factor = _ridge_factor(output_rows, ridge)
     pooled = incidence @ counts.matrix()
     totals = np.asarray(pooled.sum(axis=1)).ravel()
     vocab_size = counts.vocab_size

@@ -779,6 +779,14 @@ def test_ridge_0_on_a_rank_deficient_output_matrix_exits_4(pipeline, tmp_path, c
     assert "pass a positive ridge" in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()
     assert main(args) == 0  # the default ridge regularizes it
+    # refine refuses the same W before its first pass, even on an empty lexicon.
+    (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
+    refine = ["refine", "--embeddings", str(pipeline["emb"]), *args[1:7],
+              "--lexicon", str(tmp_path / "empty.tsv"), "-o", str(tmp_path / "refined.tsv")]
+    assert main([*refine, "--ridge", "0"]) == 4
+    assert "pass a positive ridge" in capsys.readouterr().err
+    assert not (tmp_path / "refined.tsv").exists()
+    assert main(refine) == 0
 
 
 def test_an_output_matrix_wider_than_its_words_exits_2(tmp_path, capsys):
@@ -795,12 +803,37 @@ def test_an_output_matrix_wider_than_its_words_exits_2(tmp_path, capsys):
         save_embeddings(EmbeddingTable(tokens, rng.normal(size=(2, 3))), tmp_path / name)
     save_lexicon(SegmentedLexicon({"ab": ["ab"], "ba": ["b", "a"]}), tmp_path / "lex.tsv")
     common = ["--vocab", str(vocab), "--counts", str(counts), "--output-matrix", str(tmp_path / "W.txt")]
-    common += ["--lexicon", str(tmp_path / "lex.tsv")]
     out = tmp_path / "never.txt"
-    for stage in (["subword-embed"], ["refine", "--embeddings", str(tmp_path / "E.txt")]):
-        assert main([*stage, *common, "-o", str(out)]) == 2
+    (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
+    refine = ["refine", "--embeddings", str(tmp_path / "E.txt")]
+    # refine refuses W before its first pass, even on an empty lexicon, which solves nothing.
+    for stage, lexicon in ((["subword-embed"], "lex.tsv"), (refine, "lex.tsv"), (refine, "empty.tsv")):
+        assert main([*stage, *common, "--lexicon", str(tmp_path / lexicon), "-o", str(out)]) == 2
         assert "embedding dimension 3 exceeds vocabulary size 2" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_dash_is_refused_for_a_path_a_stage_opens_by_name(pipeline, tmp_path, monkeypatch, capsys):
+    # Only the corpus/tokens positionals and the -o of segment-embed,
+    # segment and eval-* stand for stdin or stdout.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus.txt").write_text("ab cd ab\n", encoding="utf-8")
+    vocab, lexicon = str(pipeline["vocab"]), str(pipeline["lex0"])
+    embed = _embedding_stage_args("refine", pipeline, tmp_path / "refined.tsv")
+    for argv, option in [
+        (["vocab", "corpus.txt", "-o", "-"], "-o/--output"),
+        (["eval-boundaries", "--pred", "-", "--gold", lexicon], "--pred"),
+        (["cooc", "corpus.txt", "--vocab", "-", "-o", "counts.tsv"], "--vocab"),
+        (["init-bpe", "--vocab", vocab, "--target-size", "4", "--lexicon-out", "l.tsv", "--merges-out", "-"],
+         "--merges-out"),
+        ([*embed, "--subword-embeddings-out", "-"], "--subword-embeddings-out"),
+        (["segment", "corpus.txt", "--model", "-"], "--model"),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {option}: '-' is not a stream here" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["corpus.txt"]
 
 
 def test_io_errors_exit_5(tmp_path, capsys):

@@ -234,7 +234,7 @@ def test_batched_similarities_equal_cosine_bitwise(dim):
     moved = [batched.piece_ids[p] for p in ("c", max(batched.piece_ids, key=len)) if p in table]
     changed = np.array(table.vectors)
     changed[piece_row[moved]] = rng.normal(size=(len(moved), dim))
-    batched.score(changed, piece_row, moved)
+    batched.score(changed, piece_row, np.isin(np.arange(piece_row.size), moved))
     affected = np.isin(batched.pair_piece, moved)
     assert np.array_equal(batched.cosines[:-1][~affected], before[:-1][~affected])
     for pair in np.flatnonzero(affected):
@@ -278,7 +278,7 @@ def test_rescoring_pieces_shared_across_pair_blocks_equals_cosine_bitwise(monkey
         vectors[rows] = rng.normal(size=(len(rows), dim))
         vectors[piece_row[pieces.index("a")]] = 0.0
         before = batched.cosines.copy()
-        batched.score(vectors, piece_row, ids)
+        batched.score(vectors, piece_row, None if ids is None else np.isin(np.arange(len(pieces)), ids))
         for pair in range(batched.pair_piece.size):
             piece = int(batched.pair_piece[pair])
             if ids is not None and piece not in ids or piece_row[piece] < 0:
@@ -582,7 +582,7 @@ def _reference_refine(lexicon0, embeddings, counts, output_rows, max_iters=10):
         if changed == 0:
             break
     final = EmbeddingTable(subwords.tokens, [solved.vector(t) for t in subwords.tokens])
-    return SegmentedLexicon(current), history, final, matrix
+    return SegmentedLexicon(current), history, final
 
 
 def _hand_built_inputs(lines, splits, dim, seed):
@@ -629,12 +629,11 @@ def test_refine_equals_reference_loop_bitwise(inputs):
     # One pass returns the first solve's vectors of the surviving subwords.
     for max_iters in (1, 10):
         state = refine(lexicon0, embeddings, counts, output_rows, max_iters=max_iters)
-        lexicon, history, final, matrix = _reference_refine(
+        lexicon, history, final = _reference_refine(
             lexicon0, embeddings, counts, output_rows, max_iters=max_iters
         )
         assert state.lexicon == lexicon
         assert state.subwords.tokens == final.tokens
-        assert state.matrix == matrix
         assert [(s.iteration, s.changed_words, s.subword_count) for s in state.history] == history
         assert state.embeddings.tokens == final.tokens
         assert np.array_equal(state.embeddings.vectors, final.vectors)

@@ -22,6 +22,7 @@ from subseg import (
     compute_subword_embeddings,
     default_ridge,
     load_embeddings,
+    refine,
     save_embeddings,
 )
 from subseg import cooccur, subspace
@@ -645,6 +646,9 @@ def test_solver_rejects_an_output_matrix_wider_than_its_words():
     for ridge in (None, 0.0, 1.0):
         with pytest.raises(ArgumentError, match="embedding dimension 3 exceeds vocabulary size 2"):
             compute_subword_embeddings(subwords, matrix, counts, table, ridge=ridge)
+        # refine refuses it before its first pass, even with nothing to solve.
+        with pytest.raises(ArgumentError, match="embedding dimension 3 exceeds vocabulary size 2"):
+            refine(SegmentedLexicon({}), table, counts, table, ridge=ridge)
 
 
 def test_solver_rejects_negative_ridge():
