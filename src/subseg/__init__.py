@@ -27,7 +27,6 @@ _EXPORTS = {
         "MergeRules",
         "ScoredSegmentation",
         "SegmentedLexicon",
-        "SubwordVocabulary",
         "Vocabulary",
         "bpe_segment",
         "bpe_train",

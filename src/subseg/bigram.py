@@ -38,7 +38,6 @@ from pathlib import Path
 from subseg.errors import ArgumentError, ParseError, ValidationError
 from subseg.textio import (
     ScoredSegmentation,
-    SubwordVocabulary,
     _candidate_order,
     _check_token,
     atomic_text_writer,
@@ -61,7 +60,8 @@ class BigramModel:
     """Add-one-smoothed subword bigram model.
 
     ``unigram_counts`` defines the inventory S (counts may be zero for
-    characters that never occur as whole tokens); ``bigram_counts`` maps
+    characters that never occur as whole tokens), whose tokens are checked
+    here and which ``subwords`` returns sorted; ``bigram_counts`` maps
     (prev, next) pairs to positive counts.  Context totals are derived from
     the bigram table, and each one must stay within its unigram count, which
     is what catches hand-edited count tables at load time.
@@ -77,7 +77,6 @@ class BigramModel:
         "_contexts",
         "_total",
         "_max_len",
-        "_subwords",
         "_steps",
     )
 
@@ -121,12 +120,11 @@ class BigramModel:
         self._contexts = dict(contexts)
         self._total = sum(unigrams.values())
         self._max_len = max((len(token) for token in unigrams), default=0)
-        self._subwords = SubwordVocabulary(sorted(unigrams))
         self._steps: tuple[dict[str, _StepRow], _StepRow] | None = None
 
     @property
-    def subwords(self) -> SubwordVocabulary:
-        return self._subwords
+    def subwords(self) -> tuple[str, ...]:
+        return tuple(sorted(self._unigrams))
 
     @property
     def size(self) -> int:

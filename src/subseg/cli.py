@@ -314,6 +314,8 @@ def _cmd_eval_boundaries(args: argparse.Namespace) -> int:
 def _cmd_eval_renyi(args: argparse.Namespace) -> int:
     from subseg import metrics
 
+    if args.word_separator is not None:
+        textio._check_token(args.word_separator, "word separator", ArgumentError)
     frequencies: Counter = Counter()
     with _naming(args.tokens):
         for line in _input_lines(args.tokens):

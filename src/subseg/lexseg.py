@@ -53,7 +53,6 @@ from subseg.textio import (
     OOV_POLICIES,
     ScoredSegmentation,
     SegmentedLexicon,
-    SubwordVocabulary,
     _check_token,
 )
 
@@ -72,14 +71,18 @@ class RefinementState:
     ``embeddings`` holds the subword vectors used for the final
     re-segmentation pass, restricted to the surviving subwords; at
     convergence they are exactly the vectors of the final incidence.
+    ``subwords`` is its token tuple, in lexicographic order.
     :func:`refine` refuses an output matrix it cannot solve against before its first pass.
     """
 
     iterations: int
-    subwords: SubwordVocabulary
     embeddings: EmbeddingTable
     lexicon: SegmentedLexicon
     history: tuple[IterationStats, ...]
+
+    @property
+    def subwords(self) -> tuple[str, ...]:
+        return self.embeddings.tokens
 
     @property
     def converged(self) -> bool:
@@ -488,10 +491,9 @@ def refine(
     for position, start, end in zip(*(column.tolist() for column in substrings.pieces(masks)[:3])):
         lexicon[words[position]].append(words[position][start:end])
     pieces = sorted(np.flatnonzero(piece_row >= 0).tolist(), key=names.__getitem__)
-    tokens = [names[piece] for piece in pieces]
+    tokens = tuple(names[piece] for piece in pieces)
     return RefinementState(
         iterations=history[-1].iteration,
-        subwords=SubwordVocabulary(tokens),
         embeddings=EmbeddingTable._owning(tokens, vectors[piece_row[pieces]]),
         lexicon=SegmentedLexicon(lexicon),
         history=tuple(history),

@@ -75,10 +75,8 @@ import numpy as np
 
 from subseg.errors import ArgumentError, NumericalError, ParseError, ValidationError, rows_from_line
 from subseg.cooccur import CooccurrenceCounts, _parse_block, _row_blocks
-# SubwordVocabulary is re-exported: it lives in textio, which imports no numpy.
 from subseg.textio import (
     SegmentedLexicon,
-    SubwordVocabulary,
     _check_token,
     _line_ranges,
     _preview,
@@ -148,9 +146,6 @@ class EmbeddingTable:
 
     def vector(self, token: str) -> np.ndarray:
         return self._vectors[self._index[token]]
-
-    def row(self, position: int) -> np.ndarray:
-        return self._vectors[position]
 
     def __contains__(self, token: object) -> bool:
         return token in self._index
@@ -659,7 +654,7 @@ def build_segmentation_matrix(
     word_tokens: Sequence[str],
     lexicon: SegmentedLexicon | None = None,
     max_substring_len: int | None = None,
-) -> tuple[SubwordVocabulary, SegmentationMatrix]:
+) -> tuple[tuple[str, ...], SegmentationMatrix]:
     """Build the subword-to-word incidence in one of two modes.
 
     Lexicon mode (``lexicon`` given): a subword is incident to the words
@@ -673,7 +668,8 @@ def build_segmentation_matrix(
 
     A dict numbers the pieces as they come, each (piece, word) pair is a
     key ``piece * |V| + word_id``, and a rank array renumbers the pieces so
-    that subword ids are lexicographic in both modes.
+    that subword ids are lexicographic in both modes.  Returns the subword
+    tokens in that order and the matrix whose row ``r`` is ``tokens[r]``.
     """
     if (lexicon is None) == (max_substring_len is None):
         raise ArgumentError("exactly one of lexicon and max_substring_len must be given")
@@ -703,11 +699,11 @@ def build_segmentation_matrix(
         for ch in set("".join(word_tokens)):
             piece_ids.setdefault(ch, len(piece_ids))
         keys = np.concatenate([keys, _character_keys(word_tokens, piece_ids)])
-    tokens = sorted(piece_ids)
+    tokens = tuple(sorted(piece_ids))
     rank = np.argsort([piece_ids[token] for token in tokens])  # each piece id's place in tokens
     piece, word_id = np.divmod(keys, max(word_count, 1))
     keys = _sorted_unique(rank[piece] * word_count + word_id)
-    return SubwordVocabulary(tokens), SegmentationMatrix(word_count, len(tokens), keys)
+    return tokens, SegmentationMatrix(word_count, len(tokens), keys)
 
 
 def _check_smoothing(smoothing: float) -> None:
@@ -785,7 +781,7 @@ def _ridge_factor(output_rows: EmbeddingTable, ridge: float | None) -> _RidgeFac
 
 
 def compute_subword_embeddings(
-    subwords: SubwordVocabulary,
+    subwords: Sequence[str],
     matrix: SegmentationMatrix,
     counts: CooccurrenceCounts,
     output_rows: EmbeddingTable,
@@ -797,7 +793,9 @@ def compute_subword_embeddings(
     The dense targets T are never built: the solve T P is computed from
     their sparse-plus-constant form (see the module docstring) against a
     factor of the output matrix built for this call.  Each row depends only
-    on its own incidence row.  ``ridge=None`` selects the scale-aware
+    on its own incidence row.  ``subwords`` names the matrix rows in order;
+    the returned table checks them, so an empty, whitespace or duplicate
+    token is a validation error.  ``ridge=None`` selects the scale-aware
     default.  An output matrix with more dimensions than words is refused
     with an argument error.
     """
@@ -810,8 +808,8 @@ def compute_subword_embeddings(
         )
     _check_smoothing(smoothing)
     factor = _ridge_factor(output_rows, ridge)
-    vectors = _solve_incidence(matrix.to_csr(), subwords.tokens, counts, output_rows, factor, smoothing)
-    return EmbeddingTable._owning(subwords.tokens, vectors)
+    vectors = _solve_incidence(matrix.to_csr(), subwords, counts, output_rows, factor, smoothing)
+    return EmbeddingTable._owning(subwords, vectors)
 
 
 def _solve_incidence(
@@ -828,9 +826,10 @@ def _solve_incidence(
     a zero pooled cell with smoothing 0 is named by its row's ``row_tokens``
     and its word's ``output_rows`` token.  ``factor`` is the caller's
     :func:`_ridge_factor` of ``output_rows``.  The inputs are not checked:
-    :func:`compute_subword_embeddings` checks its public inputs before
-    calling this, and :func:`subseg.lexseg.refine` checks its own once and
-    calls this on the rows each pass re-solves.
+    :func:`compute_subword_embeddings` checks shapes and arguments before
+    calling this and its table checks the tokens after, and
+    :func:`subseg.lexseg.refine` checks its own once and calls this on the
+    rows each pass re-solves.
     """
     pooled = incidence @ counts.matrix()
     totals = np.asarray(pooled.sum(axis=1)).ravel()

@@ -395,47 +395,6 @@ def load_lexicon(path: str | Path) -> SegmentedLexicon:
         return SegmentedLexicon(entries)
 
 
-class SubwordVocabulary:
-    """Ordered subword-to-id table with dense contiguous ids."""
-
-    __slots__ = ("_tokens", "_index")
-
-    def __init__(self, tokens: Sequence[str]):
-        tokens = tuple(tokens)
-        index: dict[str, int] = {}
-        for position, token in enumerate(tokens):
-            _check_token(token, "subword")
-            if token in index:
-                raise ValidationError(f"duplicate subword {token!r}")
-            index[token] = position
-        self._tokens = tokens
-        self._index = index
-
-    @property
-    def tokens(self) -> tuple[str, ...]:
-        return self._tokens
-
-    def token_id(self, token: str) -> int:
-        return self._index[token]
-
-    def __contains__(self, token: object) -> bool:
-        return token in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tokens)
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubwordVocabulary):
-            return NotImplemented
-        return self._tokens == other._tokens
-
-    def __repr__(self) -> str:
-        return f"SubwordVocabulary({len(self)} subwords)"
-
-
 class ScoredSegmentation(NamedTuple):
     subwords: tuple[str, ...]
     score: float

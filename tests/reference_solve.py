@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from subseg.subspace import EmbeddingTable, SegmentationMatrix, _ridge_factor
-from subseg.textio import SubwordVocabulary
 
 
 def smoothed_log_target(matrix, counts, smoothing=0.1):
@@ -74,8 +73,8 @@ def reference_segmentation_matrix(word_tokens, lexicon=None, max_substring_len=N
             for start in range(n):
                 for stop in range(start + 1, min(start + max_substring_len, n) + 1):
                     incidence.setdefault(word[start:stop], set()).add(word_id)
-    subwords = SubwordVocabulary(sorted(incidence))
-    rows = [sorted(incidence[token]) for token in subwords.tokens]
+    subwords = tuple(sorted(incidence))
+    rows = [sorted(incidence[token]) for token in subwords]
     return subwords, segmentation_matrix(len(word_tokens), rows)
 
 

@@ -17,7 +17,6 @@ from subseg import (
     EmbeddingTable,
     SegmentedLexicon,
     START_SYMBOL,
-    SubwordVocabulary,
     beam_segment,
     boundary_prf,
     bpe_segment,
@@ -101,7 +100,7 @@ def test_criterion_1_exact_regime_solver():
     targets = np.log(dense / dense.sum(axis=1, keepdims=True))
     word_solution = np.linalg.solve(rows, targets.T).T
 
-    subwords = SubwordVocabulary(words)
+    subwords = tuple(words)
     identity = segmentation_matrix(n, [(i,) for i in range(n)])
     solved = compute_subword_embeddings(
         subwords, identity, counts, output_rows, smoothing=0.0, ridge=0.0
@@ -256,7 +255,7 @@ def test_criterion_4_smoothing_normalization():
     floor_exact = True
     for _ in range(100):
         model = _random_distilled_model(rng)
-        tokens = model.subwords.tokens
+        tokens = model.subwords
         for prev in (START_SYMBOL,) + tokens:
             total = sum(math.exp(model.log_prob(nxt, prev)) for nxt in tokens)
             worst_gap = max(worst_gap, abs(total - 1.0))

@@ -83,7 +83,10 @@ def test_distill_hand_counted_example():
 
 def test_distill_inventory_is_subwords_plus_characters():
     model = distill([["ab", "c"]])
-    assert model.subwords.tokens == ("a", "ab", "b", "c")
+    assert model.subwords == ("a", "ab", "b", "c")
+    # a model built from an unsorted count table returns its tokens sorted
+    unigrams = {"cd": 2, "ab": 3, "f": 0, "e": 0}
+    assert BigramModel(unigrams, {}).subwords == tuple(sorted(unigrams))
     # characters only ever seen inside longer subwords carry count 0
     assert model.unigram_count("a") == 0
     assert model.unigram_count("b") == 0
@@ -92,7 +95,7 @@ def test_distill_inventory_is_subwords_plus_characters():
 def test_start_symbol_is_not_a_subword():
     model = distill([["ab", "c"]])
     assert START_SYMBOL not in model
-    assert START_SYMBOL not in model.subwords.tokens
+    assert START_SYMBOL not in model.subwords
 
 
 def test_duplicate_corpus_doubles_counts_and_shifts_probabilities():
@@ -219,7 +222,7 @@ def test_log_prob_rejects_empty_next():
 def test_log_prob_is_finite_and_nonpositive():
     rng = np.random.default_rng(50)
     model = _random_model(rng)
-    probes = list(model.subwords.tokens) + ["zz", "qqq"]
+    probes = list(model.subwords) + ["zz", "qqq"]
     for prev in probes + [START_SYMBOL]:
         for nxt in probes:
             value = model.log_prob(nxt, prev)
@@ -231,7 +234,7 @@ def test_known_context_distributions_normalize():
     rng = np.random.default_rng(51)
     for _ in range(20):
         model = _random_model(rng)
-        tokens = model.subwords.tokens
+        tokens = model.subwords
         for prev in (START_SYMBOL,) + tokens:
             total = sum(math.exp(model.log_prob(nxt, prev)) for nxt in tokens)
             assert abs(total - 1.0) <= 1e-9

@@ -583,7 +583,7 @@ for argv in {runs!r}:
 
 def test_public_names_resolve_to_their_defining_modules():
     import subseg
-    from subseg import bigram, lexseg, subspace, textio
+    from subseg import bigram, lexseg, textio
 
     for name in subseg.__all__:
         value = getattr(subseg, name)
@@ -591,8 +591,7 @@ def test_public_names_resolve_to_their_defining_modules():
         assert inspect.ismodule(home) and home.__name__.startswith("subseg.")
         assert value is getattr(home, name), name
     # Moved names stay importable from their old modules as the same objects.
-    assert subspace.SubwordVocabulary is textio.SubwordVocabulary
-    for name in ("OOV_POLICIES", "ScoredSegmentation", "SubwordVocabulary"):
+    for name in ("OOV_POLICIES", "ScoredSegmentation"):
         assert getattr(lexseg, name) is getattr(textio, name)
     assert subseg.segment_corpus is textio.segment_corpus
     with pytest.raises(AttributeError, match="no_such_name"):
@@ -681,6 +680,15 @@ def test_distill_rejects_a_separator_no_token_can_equal(tmp_path, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+def test_eval_renyi_rejects_a_word_separator_no_token_can_equal(tmp_path, capsys):
+    missing = tmp_path / "never-read.txt"
+    out = tmp_path / "renyi.txt"
+    for separator, problem in (("", "empty word separator"), ("a b", "word separator 'a b' contains whitespace")):
+        assert main(["eval-renyi", str(missing), "--word-separator", separator, "-o", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_errors_exit_3(pipeline, tmp_path, capsys):
     broken = tmp_path / "broken.tsv"
     broken.write_text("undoing\tun do in\n", encoding="utf-8")
@@ -763,7 +771,7 @@ def test_numerical_errors_exit_4(pipeline, tmp_path, capsys):
         named = re.search(r"error: pooled count for subword '(.+)' and word '(.+)' is zero", err)
         assert named, err
         # The error names, by its tokens, a zero cell of the first solve's pooled counts.
-        assert pooled[subwords.token_id(named[1]), vocab.token_id(named[2])] == 0
+        assert pooled[subwords.index(named[1]), vocab.token_id(named[2])] == 0
 
 
 def test_ridge_0_on_a_rank_deficient_output_matrix_exits_4(pipeline, tmp_path, capsys):

@@ -495,7 +495,7 @@ def test_refine_fixed_point_converges_in_one_iteration():
     assert state.lexicon == lexicon
     assert [(s.iteration, s.changed_words) for s in state.history] == [(1, 0)]
     # unused single-character subwords were pruned
-    assert state.subwords.tokens == ("ab", "ba")
+    assert state.subwords == ("ab", "ba")
     assert state.embeddings.tokens == ("ab", "ba")
 
 
@@ -546,7 +546,8 @@ def test_refine_contracts_on_synthetic_corpus():
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     # every surviving subword is used by at least one segmentation
     used = {piece for _, parts in state.lexicon.items() for piece in parts}
-    assert used == set(state.subwords.tokens)
+    assert used == set(state.subwords)
+    assert state.subwords == state.embeddings.tokens
     # convergence means re-running the segmentation step changes nothing
     for word, parts in state.lexicon.items():
         again = embedding_segment(word, embeddings.vector(word), state.embeddings)
@@ -581,7 +582,7 @@ def _reference_refine(lexicon0, embeddings, counts, output_rows, max_iters=10):
         history.append((iteration, changed, len(subwords)))
         if changed == 0:
             break
-    final = EmbeddingTable(subwords.tokens, [solved.vector(t) for t in subwords.tokens])
+    final = EmbeddingTable(subwords, [solved.vector(t) for t in subwords])
     return SegmentedLexicon(current), history, final
 
 
@@ -633,7 +634,7 @@ def test_refine_equals_reference_loop_bitwise(inputs):
             lexicon0, embeddings, counts, output_rows, max_iters=max_iters
         )
         assert state.lexicon == lexicon
-        assert state.subwords.tokens == final.tokens
+        assert state.subwords == final.tokens
         assert [(s.iteration, s.changed_words, s.subword_count) for s in state.history] == history
         assert state.embeddings.tokens == final.tokens
         assert np.array_equal(state.embeddings.vectors, final.vectors)

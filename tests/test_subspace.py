@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import re
 import threading
 
 import numpy as np
@@ -15,7 +16,6 @@ from subseg import (
     NumericalError,
     ParseError,
     SegmentedLexicon,
-    SubwordVocabulary,
     ValidationError,
     align_embeddings,
     build_segmentation_matrix,
@@ -111,7 +111,7 @@ def test_program_built_tables_take_their_arrays_over_uncopied(tmp_path, monkeypa
     monkeypatch.setattr(EmbeddingTable, "__init__", copying_constructor)
     loaded = load_embeddings(tmp_path / "e.txt")
     aligned = align_embeddings(loaded, ["b", "a"])
-    solved = compute_subword_embeddings(SubwordVocabulary(["s", "t"]), matrix, counts, aligned)
+    solved = compute_subword_embeddings(("s", "t"), matrix, counts, aligned)
     assert aligned.vector("a").tolist() == [1.0, 2.0] and solved.dim == 2
 
 
@@ -435,14 +435,14 @@ def test_lexicon_mode_with_char_augmentation():
     vocab_words = ["ab"]
     lexicon = SegmentedLexicon({"ab": ["a", "b"]})
     subwords, matrix = build_segmentation_matrix(vocab_words, lexicon=lexicon)
-    assert set(subwords.tokens) >= {"a", "b"}
+    assert set(subwords) >= {"a", "b"}
     rows = matrix_rows(matrix)
-    assert rows[subwords.token_id("a")] == (0,) and rows[subwords.token_id("b")] == (0,)
+    assert rows[subwords.index("a")] == (0,) and rows[subwords.index("b")] == (0,)
 
 
 def test_enumeration_mode_lists_all_substrings():
     subwords, matrix = build_segmentation_matrix(["ab"], max_substring_len=2)
-    assert subwords.tokens == ("a", "ab", "b")
+    assert subwords == ("a", "ab", "b")
     assert sum(len(row) for row in matrix_rows(matrix)) == 3
 
 
@@ -450,7 +450,7 @@ def test_incidence_is_binary_not_a_count():
     # "a" occurs twice inside "aba" but the row marks the word once
     lexicon = SegmentedLexicon({"aba": ["ab", "a"]})
     subwords, matrix = build_segmentation_matrix(["aba"], lexicon=lexicon)
-    assert matrix_rows(matrix)[subwords.token_id("a")] == (0,)
+    assert matrix_rows(matrix)[subwords.index("a")] == (0,)
     dense = matrix.to_csr().toarray()
     assert set(np.unique(dense)) <= {0.0, 1.0}
 
@@ -475,7 +475,7 @@ def test_char_augmentation_guarantees_full_cover():
     subwords, _ = build_segmentation_matrix(["abc", "xyz"], lexicon=lexicon)
     # every character of every vocab word is a subword, even for words
     # absent from the lexicon
-    assert {"a", "b", "c", "x", "y", "z"} <= set(subwords.tokens)
+    assert {"a", "b", "c", "x", "y", "z"} <= set(subwords)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -500,7 +500,7 @@ def test_segmentation_matrix_equals_the_dict_of_sets_reference(words, cuts, kept
     for mode in ({"lexicon": lexicon}, {"max_substring_len": max_substring_len}):
         subwords, matrix = build_segmentation_matrix(words, **mode)
         expected_subwords, expected = reference_segmentation_matrix(words, **mode)
-        assert subwords.tokens == expected_subwords.tokens
+        assert subwords == expected_subwords
         assert np.array_equal(matrix.to_csr().toarray(), expected.to_csr().toarray())
 
 
@@ -548,7 +548,7 @@ def test_log_target_zero_entry_without_smoothing_names_cell():
     table = EmbeddingTable(["a", "b"], np.eye(2))
     with pytest.raises(NumericalError, match=r"subword 'a' and word 'b' is zero"):
         compute_subword_embeddings(
-            SubwordVocabulary(["a"]), row_for_word0, counts, table, smoothing=0.0
+            ("a",), row_for_word0, counts, table, smoothing=0.0
         )
 
 
@@ -572,7 +572,7 @@ def test_log_target_rejects_negative_smoothing():
     table = EmbeddingTable(["a"], np.eye(1))
     with pytest.raises(ArgumentError, match="smoothing"):
         compute_subword_embeddings(
-            SubwordVocabulary(["a"]), segmentation_matrix(1, [(0,)]), counts, table, smoothing=-0.5
+            ("a",), segmentation_matrix(1, [(0,)]), counts, table, smoothing=-0.5
         )
 
 
@@ -581,7 +581,7 @@ def test_log_target_checks_dimension_agreement():
     table = EmbeddingTable(["a", "b"], np.eye(2))
     with pytest.raises(ValidationError, match="word coverage mismatch"):
         compute_subword_embeddings(
-            SubwordVocabulary(["a"]), segmentation_matrix(2, [(0, 1)]), counts, table
+            ("a",), segmentation_matrix(2, [(0, 1)]), counts, table
         )
 
 
@@ -626,11 +626,25 @@ def test_ridge_shrinks_solution_norm():
     assert np.linalg.norm(tight) <= np.linalg.norm(loose)
 
 
+def test_solver_rejects_subwords_no_table_can_hold():
+    # The returned table is the one check of the subword tokens.
+    table = EmbeddingTable(["a", "b"], np.eye(2))
+    counts = _counts_from_dense([[1, 1], [1, 1]])
+    matrix = segmentation_matrix(2, [(0,), (1,)])
+    for subwords, problem in (
+        (("s", ""), "empty embedding token"),
+        (("s", "t u"), "embedding token 't u' contains whitespace"),
+        (("s", "s"), "duplicate embedding token 's'"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(problem)):
+            compute_subword_embeddings(subwords, matrix, counts, table)
+
+
 def test_rank_deficient_without_ridge_advises_ridge():
     rows = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # rank 1
     table = EmbeddingTable(["a", "b", "c"], rows)
     counts = _counts_from_dense([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
-    subwords, matrix = SubwordVocabulary(["a"]), segmentation_matrix(3, [(0,)])
+    subwords, matrix = ("a",), segmentation_matrix(3, [(0,)])
     with pytest.raises(NumericalError, match="ridge"):
         compute_subword_embeddings(subwords, matrix, counts, table, ridge=0.0)
     # a positive ridge makes the same system solvable
@@ -642,7 +656,7 @@ def test_solver_rejects_an_output_matrix_wider_than_its_words():
     # Two words cannot determine three coordinates, whatever the ridge.
     table = EmbeddingTable(["a", "b"], np.random.default_rng(0).normal(size=(2, 3)))
     counts = _counts_from_dense([[1, 1], [1, 1]])
-    subwords, matrix = SubwordVocabulary(["a"]), segmentation_matrix(2, [(0,)])
+    subwords, matrix = ("a",), segmentation_matrix(2, [(0,)])
     for ridge in (None, 0.0, 1.0):
         with pytest.raises(ArgumentError, match="embedding dimension 3 exceeds vocabulary size 2"):
             compute_subword_embeddings(subwords, matrix, counts, table, ridge=ridge)
@@ -654,7 +668,7 @@ def test_solver_rejects_an_output_matrix_wider_than_its_words():
 def test_solver_rejects_negative_ridge():
     table = EmbeddingTable(["a", "b"], np.eye(2))
     counts = _counts_from_dense([[1, 1], [1, 1]])
-    subwords, matrix = SubwordVocabulary(["a"]), segmentation_matrix(2, [(0,)])
+    subwords, matrix = ("a",), segmentation_matrix(2, [(0,)])
     with pytest.raises(ArgumentError, match="ridge"):
         compute_subword_embeddings(subwords, matrix, counts, table, ridge=-1.0)
 
@@ -663,7 +677,7 @@ def test_solver_rejects_negative_ridge():
 def test_non_finite_ridge_and_smoothing_are_argument_errors(value):
     table = EmbeddingTable(["a", "b"], np.eye(2))
     counts = _counts_from_dense([[1, 1], [1, 1]])
-    subwords, matrix = SubwordVocabulary(["a"]), segmentation_matrix(2, [(0,)])
+    subwords, matrix = ("a",), segmentation_matrix(2, [(0,)])
     with pytest.raises(ArgumentError, match="ridge must be finite"):
         compute_subword_embeddings(subwords, matrix, counts, table, ridge=value)
     with pytest.raises(ArgumentError, match="smoothing must be finite"):
@@ -758,7 +772,7 @@ def _word_identity_setup(rng, n):
     counts = _counts_from_dense(dense)
     rows = rng.normal(size=(n, n)) + np.eye(n) * n
     table = EmbeddingTable(words, rows)
-    subwords = SubwordVocabulary(words)
+    subwords = tuple(words)
     matrix = segmentation_matrix(n, [(i,) for i in range(n)])
     return words, counts, table, subwords, matrix
 
@@ -798,7 +812,7 @@ def _wide_setup(rng, n_words, dim):
     counts = _counts_from_dense(dense + dense.T)
     table = EmbeddingTable([f"w{i}" for i in range(n_words)], rng.normal(size=(n_words, dim)))
     rows = [tuple(range(i, n_words, 5 + i)) for i in range(24)]
-    subwords = SubwordVocabulary([f"s{i}" for i in range(len(rows))])
+    subwords = tuple(f"s{i}" for i in range(len(rows)))
     return counts, table, subwords, segmentation_matrix(n_words, rows)
 
 
@@ -808,9 +822,9 @@ def test_result_is_independent_of_batch_partitioning():
     _, *square = _word_identity_setup(rng, 7)
     for counts, table, subwords, matrix in (square, _wide_setup(rng, 320, 300)):
         all_at_once = compute_subword_embeddings(subwords, matrix, counts, table)
-        for position, token in enumerate(subwords.tokens):
+        for position, token in enumerate(subwords):
             alone = compute_subword_embeddings(
-                SubwordVocabulary([token]),
+                (token,),
                 segmentation_matrix(matrix.word_count, [matrix_rows(matrix)[position]]),
                 counts,
                 table,
@@ -840,7 +854,7 @@ def test_subword_count_and_dim_of_result():
     result = compute_subword_embeddings(subwords, matrix, counts, table)
     assert len(result) == len(subwords)
     assert result.dim == table.dim
-    assert result.tokens == subwords.tokens
+    assert result.tokens == subwords
 
 
 def _random_solve_case(rng, positive):
@@ -859,7 +873,7 @@ def _random_solve_case(rng, positive):
     for _ in range(int(rng.integers(1, 9))):
         size = int(rng.integers(1, n + 1))
         rows.append(tuple(sorted(rng.choice(n, size=size, replace=False).tolist())))
-    subwords = SubwordVocabulary([f"s{i}" for i in range(len(rows))])
+    subwords = tuple(f"s{i}" for i in range(len(rows)))
     return counts, table, subwords, segmentation_matrix(n, rows)
 
 
@@ -888,7 +902,7 @@ def test_zero_pooled_cell_without_smoothing_names_cell_in_solve():
     counts = _counts_from_dense([[3, 0, 1], [0, 2, 1], [1, 1, 4]])
     table = EmbeddingTable(["a", "b", "c"], np.eye(3))
     matrix = segmentation_matrix(3, [(2,), (0,)])
-    subwords = SubwordVocabulary(["s0", "s1"])
+    subwords = ("s0", "s1")
     with pytest.raises(NumericalError, match=r"subword 's1' and word 'b' is zero"):
         compute_subword_embeddings(subwords, matrix, counts, table, smoothing=0.0)
     # pooling words 0 and 1 fills every column, so the same counts solve
