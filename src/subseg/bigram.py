@@ -22,6 +22,12 @@ first use (:meth:`BigramModel._step_scores`): one row per context in
 model, whatever is segmented with it.  :meth:`BigramModel.log_prob`, the
 beam search and the exact search all read it.
 
+Both searches walk one lattice (:func:`_lattice`), the one place the
+admissibility rule is written, and lead each hypothesis with ``(-score,
+subword count, sequence)``, so plain tuple comparison is the candidate
+order: highest score, then fewer subwords, then the lexicographically
+smallest sequence.  Negation is exact, so returned scores keep their bits.
+
 Model files: a ``LEGROS-BIGRAM v1`` header, one ``|S|=<n> total=<t>
 maxlen=<m>`` summary line, a ``#UNIGRAMS`` section of ``subword<TAB>count``
 rows, and a ``#BIGRAMS`` section of ``prev<TAB>next<TAB>count`` rows.
@@ -38,7 +44,6 @@ from pathlib import Path
 from subseg.errors import ArgumentError, ParseError, ValidationError
 from subseg.textio import (
     ScoredSegmentation,
-    _candidate_order,
     _check_token,
     atomic_text_writer,
     read_corpus,
@@ -48,6 +53,7 @@ START_SYMBOL = "###"
 
 _MODEL_HEADER = "LEGROS-BIGRAM v1"
 
+# (negated score, subword count, sequence): tuple order is the candidate order.
 _Hypothesis = tuple[float, int, tuple[str, ...]]
 # A beam hypothesis also carries its last subword (START_SYMBOL when empty).
 _BeamHypothesis = tuple[float, int, tuple[str, ...], str]
@@ -316,86 +322,83 @@ def distill_counted(occurrences: Mapping[tuple[str, ...], int]) -> BigramModel:
     return BigramModel(dict(unigrams), dict(bigrams))
 
 
+def _lattice(word: str, model: BigramModel) -> list[list[tuple[int, str]]]:
+    """The admissible ``(end, piece)`` steps out of each start position of ``word``.
+
+    A single character is always admissible; a longer piece must be in the
+    inventory, and so at most ``max_subword_length`` characters long.
+    """
+    inventory = model._unigrams
+    n = len(word)
+    lattice = []
+    for start in range(n):
+        steps = [(start + 1, word[start])]
+        for end in range(start + 2, min(start + model._max_len, n) + 1):
+            piece = word[start:end]
+            if piece in inventory:
+                steps.append((end, piece))
+        lattice.append(steps)
+    return lattice
+
+
 def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSegmentation:
     """Approximate best segmentation of ``word`` under the bigram model.
 
-    Hypotheses are grouped by end position; whenever a group is consumed it
-    is pruned to the ``beam_size`` best by score, with ties broken toward
-    fewer subwords and then lexicographically.  Multi-character candidates
-    must be inventory members; single characters are always admissible.
-
+    Hypotheses are grouped by end position and extended along
+    :func:`_lattice`; a group of more than ``beam_size`` is first cut to its
+    ``beam_size`` first in the candidate order (see the module docstring).
     Step scores come from :meth:`BigramModel._step_scores`.
     """
     _check_token(word, "word", ArgumentError)
     if beam_size < 1:
         raise ArgumentError(f"beam_size must be at least 1, got {beam_size}")
     rows, other = model._step_scores()
-    inventory = model._unigrams
     n = len(word)
-    max_len = max(model.max_subword_length, 1)
     groups: list[list[_BeamHypothesis]] = [[] for _ in range(n + 1)]
-    groups[0] = [(0.0, 0, (), START_SYMBOL)]
-    for start in range(n):
-        survivors = _pruned(groups[start], beam_size)
-        groups[start] = survivors
-        admissible = [(start + 1, word[start])]
-        for end in range(start + 2, min(start + max_len, n) + 1):
-            piece = word[start:end]
-            if piece in inventory:
-                admissible.append((end, piece))
-        for score, count, sequence, prev in survivors:
+    groups[0].append((-0.0, 0, (), START_SYMBOL))
+    for start, steps in enumerate(_lattice(word, model)):
+        group = groups[start]
+        if len(group) > beam_size:
+            group = sorted(group)[:beam_size]
+        for negated, count, sequence, prev in group:
             scores, unseen = rows.get(prev, other)
-            for end, piece in admissible:
+            for end, piece in steps:
                 groups[end].append(
-                    (score + scores.get(piece, unseen), count + 1, sequence + (piece,), piece)
+                    (negated - scores.get(piece, unseen), count + 1, sequence + (piece,), piece)
                 )
-    complete = _pruned(groups[n], beam_size)
-    if not complete:
+    if not groups[n]:
         raise RuntimeError(f"no complete hypothesis for {word!r}; invariant violated")
-    best = min(complete, key=_candidate_order)
-    return ScoredSegmentation(best[2], best[0])
-
-
-def _pruned(hypotheses: list[_BeamHypothesis], beam_size: int) -> list[_BeamHypothesis]:
-    if len(hypotheses) <= beam_size:
-        return hypotheses
-    return sorted(hypotheses, key=_candidate_order)[:beam_size]
+    negated, _, sequence, _ = min(groups[n])
+    return ScoredSegmentation(sequence, -negated)
 
 
 def exact_segment(word: str, model: BigramModel) -> ScoredSegmentation:
     """Exact best segmentation by dynamic programming.
 
     The state is (end position, last subword): bigram scores depend only on
-    the previous subword, so one best hypothesis per state suffices.  The
-    admissibility rule matches :func:`beam_segment`, and so does the tie
-    order, which makes this the reference the beam is checked against.
+    the previous subword, so one best hypothesis per state suffices.  It
+    walks :func:`_lattice` start by start, so each state is final when it is
+    extended, and keeps the candidate order of :func:`beam_segment`, which
+    makes this the reference the beam is checked against.
     Step scores come from :meth:`BigramModel._step_scores`, as in the beam.
     """
     _check_token(word, "word", ArgumentError)
     rows, other = model._step_scores()
     n = len(word)
-    max_len = max(model.max_subword_length, 1)
     states: list[dict[str, _Hypothesis]] = [{} for _ in range(n + 1)]
-    states[0] = {START_SYMBOL: (0.0, 0, ())}
-    for end in range(1, n + 1):
-        cell = states[end]
-        for start in range(max(0, end - max_len), end):
-            piece = word[start:end]
-            if end - start > 1 and piece not in model:
-                continue
-            for prev, (score, count, sequence) in states[start].items():
-                scores, unseen = rows.get(prev, other)
-                candidate = (score + scores.get(piece, unseen), count + 1, sequence + (piece,))
-                incumbent = cell.get(piece)
-                if incumbent is None or _candidate_order(candidate) < _candidate_order(
-                    incumbent
-                ):
-                    cell[piece] = candidate
-    final = states[n]
-    if not final:
+    states[0][START_SYMBOL] = (-0.0, 0, ())
+    for start, steps in enumerate(_lattice(word, model)):
+        for prev, (negated, count, sequence) in states[start].items():
+            scores, unseen = rows.get(prev, other)
+            for end, piece in steps:
+                candidate = (negated - scores.get(piece, unseen), count + 1, sequence + (piece,))
+                incumbent = states[end].get(piece)
+                if incumbent is None or candidate < incumbent:
+                    states[end][piece] = candidate
+    if not states[n]:
         raise RuntimeError(f"no complete analysis for {word!r}; invariant violated")
-    best = min(final.values(), key=_candidate_order)
-    return ScoredSegmentation(best[2], best[0])
+    negated, _, sequence = min(states[n].values())
+    return ScoredSegmentation(sequence, -negated)
 
 
 def save_model(model: BigramModel, path: str | Path) -> None:

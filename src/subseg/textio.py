@@ -400,12 +400,6 @@ class ScoredSegmentation(NamedTuple):
     score: float
 
 
-def _candidate_order(hyp: tuple[float, int, tuple[str, ...]]) -> tuple[float, int, tuple[str, ...]]:
-    # Highest score first, then fewer subwords, then lexicographic sequence;
-    # shared with the bigram beam and exact searches.
-    return (-hyp[0], hyp[1], hyp[2])
-
-
 def segment_corpus(
     lines: Iterable[str],
     segmentations: SegmentedLexicon | Mapping[str, Sequence[str]],
@@ -507,12 +501,13 @@ def bpe_train_splits(
     when no adjacent pair is left.
 
     Counts live in a table updated between merges: an index from each pair
-    to the word types that contain it means a merge re-tokenizes only those
-    types, subtracting each one's old adjacent pairs and adding its new
-    ones, and a lazy heap keyed by ``(-count, pair)`` yields the best pair
-    (an entry whose count is out of date is dropped when it reaches the
-    top).  A merge thus costs time in the types it touches, not in the
-    whole vocabulary.
+    to the word types that have held it means a merge re-tokenizes only
+    those types, subtracting each one's old adjacent pairs and adding its
+    new ones, and a lazy heap keyed by ``(-count, pair)`` yields the best
+    pair (an entry whose count is out of date is dropped when it reaches
+    the top).  An entry only grows until its pair's count reaches 0, and a
+    type that lost the merged pair at an earlier merge is skipped.  A merge
+    thus costs time in the types it touches, not in the whole vocabulary.
 
     Training ends holding the split of every corpus type of two or more
     characters, which the returned dict maps it to.  Each merge is applied
@@ -551,20 +546,16 @@ def bpe_train_splits(
         merges.append(best)
         vocab.add(best[0] + best[1])
         change: defaultdict[MergePair, int] = defaultdict(int)  # net count change per pair
-        for index in list(pair_types[best]):
+        for index in pair_types.pop(best):
             old = pieces[index]
+            if best not in zip(old, old[1:]):
+                continue  # the type lost the pair at an earlier merge
             new = pieces[index] = _apply_merge(old, best)
             weight = weights[index]
-            old_pairs = list(zip(old, old[1:]))
-            new_pairs = list(zip(new, new[1:]))
-            for pair in old_pairs:
+            for pair in zip(old, old[1:]):
                 change[pair] -= weight
-            for pair in new_pairs:
+            for pair in zip(new, new[1:]):
                 change[pair] += weight
-            old_set, new_set = set(old_pairs), set(new_pairs)
-            for pair in old_set - new_set:
-                pair_types[pair].discard(index)
-            for pair in new_set - old_set:
                 pair_types[pair].add(index)
         for pair, delta in change.items():
             if not delta:
@@ -575,7 +566,7 @@ def bpe_train_splits(
                 heapq.heappush(heap, (-count, pair))
             else:
                 del pair_counts[pair]
-                del pair_types[pair]
+                pair_types.pop(pair, None)
     # The pair index is not needed past training; free it before the dict exists.
     del pair_counts, pair_types, heap
     return merges, dict(zip(words, pieces))

@@ -17,7 +17,12 @@ import math
 from subseg import bigram, textio
 from subseg.bigram import START_SYMBOL, BigramModel
 from subseg.errors import ArgumentError, ValidationError
-from subseg.textio import OOV_POLICIES, ScoredSegmentation, _candidate_order, _check_token
+from subseg.textio import OOV_POLICIES, ScoredSegmentation, _check_token
+
+
+def _candidate_order(hyp):
+    """Highest score first, then fewer subwords, then lexicographic sequence."""
+    return (-hyp[0], hyp[1], hyp[2])
 
 
 def segment_corpus(lines, segmentations, oov_policy="error"):

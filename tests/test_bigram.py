@@ -320,6 +320,18 @@ def test_beam_score_never_exceeds_exact():
             assert beam_segment(word, model, beam_size=beam).score <= exact.score
 
 
+def test_exact_tie_goes_to_the_lexicographically_smallest_sequence():
+    # Both two-piece splits of "abc" score exactly the same.
+    model = distill([["ab", "c"], ["a", "bc"]])
+    tie = -2.351375257163478
+    log_prob = reference_corpus.log_prob
+    for first, second in (("ab", "c"), ("a", "bc")):
+        assert log_prob(model, first, START_SYMBOL) + log_prob(model, second, first) == tie
+    for beam in (1, 2, 3, 4):
+        assert beam_segment("abc", model, beam_size=beam).subwords == ("a", "bc")
+    assert exact_segment("abc", model) == (("a", "bc"), tie)
+
+
 def test_distilled_corpus_segments_within_inventory():
     groups = [["un", "do", "ing"], ["do", "ing"], ["un", "do"]]
     model = distill(groups)

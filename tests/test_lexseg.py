@@ -21,8 +21,9 @@ from subseg import (
 
 from subseg import lexseg
 from subseg.lexseg import _split_at, _WordSubstrings
-from subseg.textio import ScoredSegmentation, _candidate_order
+from subseg.textio import ScoredSegmentation
 
+from reference_corpus import _candidate_order
 from reference_solve import lexicon_incidence, right_inverse_solve, segmentation_matrix, smoothed_log_target
 from synthdata import agglutinative_corpus, consistent_embeddings
 

@@ -584,6 +584,17 @@ def test_bpe_train_retokenizes_only_types_containing_the_merge(monkeypatch):
     # A full rescan re-tokenizes every type on every merge.
     assert touched < len(pieces) * len(merges) // 2
 
+    # "abc" still sits in the index under (b, c) when that pair is merged,
+    # though (a, b) took its "b"; the merge must skip it, not re-tokenize it.
+    lines = ["ab"] * 10 + ["abc"] * 5 + ["bc"] * 3
+    calls = 0
+    monkeypatch.setattr(textio, "_apply_merge", counting_apply_merge)
+    merges = bpe_train(lines, target_vocab_size=6)
+    monkeypatch.undo()
+    assert merges == [("a", "b"), ("ab", "c"), ("b", "c")] == _reference_bpe(lines, 6)
+    # One call per type that holds each merged pair: ab and abc, abc, bc.
+    assert calls == 4
+
 
 def test_bpe_closure_over_training_corpus():
     # segmenting training words never emits a subword outside the induced vocab
