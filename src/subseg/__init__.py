@@ -46,18 +46,20 @@ _EXPORTS = {
         "load_counts",
         "save_counts",
     ),
-    "subspace": (
+    "tables": (
         "EmbeddingTable",
         "PendingEmbeddings",
-        "SegmentationMatrix",
         "align_embeddings",
-        "build_segmentation_matrix",
-        "compute_subword_embeddings",
-        "default_ridge",
         "join_embeddings",
         "load_embeddings",
         "save_embeddings",
         "start_loading_embeddings",
+    ),
+    "subspace": (
+        "SegmentationMatrix",
+        "build_segmentation_matrix",
+        "compute_subword_embeddings",
+        "default_ridge",
     ),
     "lexseg": (
         "IterationStats",

@@ -31,7 +31,7 @@ from subseg import textio
 from subseg.errors import ArgumentError, CorpusIOError, NumericalError, ValidationError
 
 if TYPE_CHECKING:
-    from subseg import cooccur, lexseg, subspace
+    from subseg import cooccur, lexseg, tables
 
 _T = TypeVar("_T")
 
@@ -154,12 +154,12 @@ def _cmd_init_bpe(args: argparse.Namespace) -> int:
 
 
 def _join_aligned(
-    pending: subspace.PendingEmbeddings, path: str, vocab: textio.Vocabulary
-) -> subspace.EmbeddingTable:
+    pending: tables.PendingEmbeddings, path: str, vocab: textio.Vocabulary
+) -> tables.EmbeddingTable:
     """The table ``pending`` loads from ``path``, in ``vocab``'s order."""
-    from subseg import subspace
+    from subseg import tables
 
-    return _load(lambda p: subspace.align_embeddings(subspace.join_embeddings(pending), vocab.tokens), path)
+    return _load(lambda p: tables.align_embeddings(tables.join_embeddings(pending), vocab.tokens), path)
 
 
 @contextmanager
@@ -199,9 +199,9 @@ def _load_word_tables(
 
 
 def _cmd_subword_embed(args: argparse.Namespace) -> int:
-    from subseg import subspace
+    from subseg import subspace, tables
 
-    with subspace.start_loading_embeddings(args.output_matrix) as pending:
+    with tables.start_loading_embeddings(args.output_matrix) as pending:
         vocab, counts = _load_word_tables(args)
         join = functools.partial(_join_aligned, pending, args.output_matrix, vocab)
         with _reported_after(join):
@@ -211,16 +211,16 @@ def _cmd_subword_embed(args: argparse.Namespace) -> int:
         output_rows = join()
     ridge = _parse_ridge(args.ridge)
     table = subspace.compute_subword_embeddings(subwords, matrix, counts, output_rows, args.smoothing, ridge)
-    subspace.save_embeddings(table, args.output)
+    tables.save_embeddings(table, args.output)
     return 0
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
-    from subseg import lexseg, subspace
+    from subseg import lexseg, tables
 
     with (
-        subspace.start_loading_embeddings(args.embeddings) as pending_e,
-        subspace.start_loading_embeddings(args.output_matrix) as pending_w,
+        tables.start_loading_embeddings(args.embeddings) as pending_e,
+        tables.start_loading_embeddings(args.output_matrix) as pending_w,
     ):
         vocab, counts = _load_word_tables(args)
         join_e = functools.partial(_join_aligned, pending_e, args.embeddings, vocab)
@@ -250,7 +250,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     )
     textio.save_lexicon(state.lexicon, args.output)
     if args.subword_embeddings_out:
-        subspace.save_embeddings(state.embeddings, args.subword_embeddings_out)
+        tables.save_embeddings(state.embeddings, args.subword_embeddings_out)
     return 0
 
 

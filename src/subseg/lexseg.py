@@ -39,7 +39,6 @@ import numpy as np
 from subseg.errors import ArgumentError, CoverageError, ValidationError
 from subseg.cooccur import CooccurrenceCounts
 from subseg.subspace import (
-    EmbeddingTable,
     _character_keys,
     _check_smoothing,
     _incidence_csr,
@@ -47,14 +46,8 @@ from subseg.subspace import (
     _solve_incidence,
     _sorted_unique,
 )
-# Defined in textio, which imports no numpy.  OOV_POLICIES stays importable
-# from its old home here.
-from subseg.textio import (
-    OOV_POLICIES,
-    ScoredSegmentation,
-    SegmentedLexicon,
-    _check_token,
-)
+from subseg.tables import EmbeddingTable
+from subseg.textio import ScoredSegmentation, SegmentedLexicon, _check_token
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,18 @@
 and always adds every character of every word in lexicon mode.  These are
 the dense targets, the solve of dense targets against an output matrix, the
 incidence built as a dict of word-id sets per subword, with and without
-the added characters, and the conversion between word-id rows and a
-``SegmentationMatrix``, which the tests check the package against and
-build synthetic embeddings with.
+the added characters, the conversion between word-id rows and a
+``SegmentationMatrix``, and counts read off a dense matrix, which the tests
+check the package against and build synthetic embeddings with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from subseg.subspace import EmbeddingTable, SegmentationMatrix, _ridge_factor
+from subseg.cooccur import CooccurrenceCounts
+from subseg.subspace import SegmentationMatrix, _ridge_factor
+from subseg.tables import EmbeddingTable
 
 
 def smoothed_log_target(matrix, counts, smoothing=0.1):
@@ -35,6 +37,17 @@ def right_inverse_solve(targets, output_rows: EmbeddingTable, ridge=0.0):
     projector, so a rank-deficient W raises as it does in the solve.
     """
     return np.asarray(targets, dtype=np.float64) @ _ridge_factor(output_rows, ridge).projector
+
+
+def _counts_from_dense(dense, window=5):
+    """The ``CooccurrenceCounts`` of a dense symmetric count matrix's upper triangle."""
+    dense = np.asarray(dense)
+    entries = []
+    for i in range(dense.shape[0]):
+        for j in range(i, dense.shape[1]):
+            if dense[i, j]:
+                entries.append((i, j, int(dense[i, j])))
+    return CooccurrenceCounts(vocab_size=dense.shape[0], window=window, counts=entries)
 
 
 def segmentation_matrix(word_count, rows):

@@ -13,7 +13,8 @@ import numpy as np
 
 from reference_solve import right_inverse_solve
 from subseg.cooccur import CooccurrenceCounts
-from subseg.subspace import EmbeddingTable, default_ridge
+from subseg.subspace import default_ridge
+from subseg.tables import EmbeddingTable
 
 CONSONANTS = "bdgklmnprst"
 VOWELS = "aeiou"

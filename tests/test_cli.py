@@ -499,6 +499,16 @@ def test_cold_start_loads_no_scipy(tmp_path):
     assert load_vocabulary(tmp_path / "v.tsv").freq("a") == 2
 
 
+def test_table_io_loads_no_solve(tmp_path):
+    script = (
+        "import subseg.tables, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy') or m in ('subseg.subspace', 'subseg.lexseg')))"
+    )
+    imported = _run_python(["-c", script], b"", tmp_path)
+    assert imported.returncode == 0, imported.stderr
+    assert imported.stdout.strip() == b"[]"
+
+
 def test_cold_start_loads_no_numpy(tmp_path):
     script = (
         "import subseg, subseg.cli, sys; "
@@ -591,8 +601,7 @@ def test_public_names_resolve_to_their_defining_modules():
         assert inspect.ismodule(home) and home.__name__.startswith("subseg.")
         assert value is getattr(home, name), name
     # Moved names stay importable from their old modules as the same objects.
-    for name in ("OOV_POLICIES", "ScoredSegmentation"):
-        assert getattr(lexseg, name) is getattr(textio, name)
+    assert lexseg.ScoredSegmentation is textio.ScoredSegmentation
     assert subseg.segment_corpus is textio.segment_corpus
     with pytest.raises(AttributeError, match="no_such_name"):
         subseg.no_such_name
@@ -950,7 +959,7 @@ def test_solving_stages_write_the_same_bytes_on_one_cpu_or_all(tmp_path):
     # BLAS sums in an order that follows its thread count, which follows the
     # CPUs too, so both runs fix it at one thread.
     from subseg import SegmentedLexicon, build_vocabulary, count_cooccurrences, save_counts, save_vocabulary
-    from subseg.subspace import _MIN_VALUES_PER_WORKER
+    from subseg.tables import _MIN_VALUES_PER_WORKER
 
     lines, _ = agglutinative_corpus(40, 15)
     vocab = build_vocabulary(lines, max_size=5000)
@@ -993,10 +1002,10 @@ def test_solving_stages_write_the_same_bytes_on_one_cpu_or_all(tmp_path):
 def forking_loads(monkeypatch):
     """Load every embedding table in forked workers over two CPUs; the pids
     of the workers forked from then on."""
-    from subseg import subspace
+    from subseg import tables
 
     forked = []
-    fork = subspace._fork
+    fork = tables._fork
 
     def recording_fork():
         pid = fork()
@@ -1004,9 +1013,9 @@ def forking_loads(monkeypatch):
             forked.append(pid)
         return pid
 
-    monkeypatch.setattr(subspace, "_MIN_VALUES_PER_WORKER", 1)
+    monkeypatch.setattr(tables, "_MIN_VALUES_PER_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(subspace, "_fork", recording_fork)
+    monkeypatch.setattr(tables, "_fork", recording_fork)
     return forked
 
 
@@ -1095,42 +1104,42 @@ def _load_outcome(load, path):
 
 
 def test_a_table_of_one_to_two_minima_is_parsed_by_one_worker(pipeline, tmp_path, forking_loads, monkeypatch):
-    from subseg import subspace
+    from subseg import tables
 
     path = pipeline["emb"]
-    values = subspace._load_serially(path).vectors.size
+    values = tables._load_serially(path).vectors.size
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     bad = tmp_path / "bad.txt"
     bad.write_text("".join([*lines[:-1], lines[-1].rsplit(" ", 1)[0] + " x\n"]), encoding="utf-8")
 
     # Exactly one minimum: under two, so one worker parses the whole table
     # while the caller goes on, with the bits and errors of one process.
-    monkeypatch.setattr(subspace, "_MIN_VALUES_PER_WORKER", values)
-    assert subspace._worker_count(values) == 1
+    monkeypatch.setattr(tables, "_MIN_VALUES_PER_WORKER", values)
+    assert tables._worker_count(values) == 1
     for table in (path, bad):
         forking_loads.clear()
-        with subspace.start_loading_embeddings(table) as pending:
+        with tables.start_loading_embeddings(table) as pending:
             assert len(forking_loads) == 1
-            outcome = _load_outcome(lambda _: subspace.join_embeddings(pending), table)
-        assert outcome == _load_outcome(subspace._load_serially, table)
+            outcome = _load_outcome(lambda _: tables.join_embeddings(pending), table)
+        assert outcome == _load_outcome(tables._load_serially, table)
         _assert_reaped(forking_loads)
     assert outcome == (ParseError, len(lines), f"line {len(lines)}: non-numeric vector component")
 
     # Under one minimum, or on one CPU, the caller reads the table at the join.
     forking_loads.clear()
     for minimum, cpus in ((values + 1, 2), (values, 1)):
-        monkeypatch.setattr(subspace, "_MIN_VALUES_PER_WORKER", minimum)
+        monkeypatch.setattr(tables, "_MIN_VALUES_PER_WORKER", minimum)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         for table in (path, bad):
-            assert _load_outcome(subspace.load_embeddings, table) == _load_outcome(subspace._load_serially, table)
+            assert _load_outcome(tables.load_embeddings, table) == _load_outcome(tables._load_serially, table)
         assert forking_loads == []
 
 
 def test_refine_with_tables_of_one_to_two_minima_forks_one_worker_each(pipeline, tmp_path, forking_loads, monkeypatch):
-    from subseg import subspace
+    from subseg import tables
 
-    monkeypatch.setattr(subspace, "_MIN_VALUES_PER_WORKER", load_embeddings(pipeline["emb"]).vectors.size)
-    assert load_embeddings(pipeline["outmat"]).vectors.size == subspace._MIN_VALUES_PER_WORKER
+    monkeypatch.setattr(tables, "_MIN_VALUES_PER_WORKER", load_embeddings(pipeline["emb"]).vectors.size)
+    assert load_embeddings(pipeline["outmat"]).vectors.size == tables._MIN_VALUES_PER_WORKER
     forking_loads.clear()
     args = _embedding_stage_args("refine", pipeline, tmp_path / "ref.lex")
     assert main([*args, "--subword-embeddings-out", str(tmp_path / "ref_emb.txt")]) == 0

@@ -27,7 +27,7 @@ from reference_loaders import load_counts as reference_load_counts
 from reference_loaders import load_embeddings as reference_load_embeddings
 from reference_loaders import load_lexicon as reference_load_lexicon
 from subseg import ParseError, ValidationError, cooccur, load_counts, load_embeddings, load_lexicon
-from subseg import subspace, textio
+from subseg import tables, textio
 
 _SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 _INT64_MAX = 2**63 - 1
@@ -226,7 +226,7 @@ def test_load_embeddings_matches_per_line_reference(
     with (
         mock.patch.object(cooccur, "_PARSE_BLOCK_CHARS", block_chars),
         mock.patch.object(textio, "_READ_BLOCK", block_chars),
-        mock.patch.object(subspace, "_MIN_VALUES_PER_WORKER", min_values),
+        mock.patch.object(tables, "_MIN_VALUES_PER_WORKER", min_values),
         mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))),
     ):
         outcome = _embedding_outcome(load_embeddings, path, text, fifo)
