@@ -4,7 +4,8 @@ The package covers a full pipeline: corpus ingestion and vocabulary
 construction, windowed co-occurrence counting, solving subword vectors
 inside an existing skip-gram space, similarity-driven segmentation with
 alternating refinement, distillation into a smoothed bigram segmenter with
-beam search, and intrinsic evaluation (boundary P/R/F1, Renyi efficiency).
+an exact or beam-cut search, and intrinsic evaluation (boundary P/R/F1,
+Renyi efficiency).
 """
 
 import importlib

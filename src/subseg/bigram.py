@@ -19,18 +19,23 @@ every word has at least one complete analysis.
 These logs are computed in one place, a score table the model builds on
 first use (:meth:`BigramModel._step_scores`): one row per context in
 {``###``} ∪ S and one for any other context, so its size is bounded by the
-model, whatever is segmented with it.  :meth:`BigramModel.log_prob`, the
-beam search and the exact search all read it.
+model, whatever is segmented with it.  :meth:`BigramModel.log_prob` and the
+search both read it.
 
-Both searches walk one lattice (:func:`_lattice`), the one place the
-admissibility rule is written, and lead each hypothesis with ``(-score,
+The search (:func:`_search`) walks one lattice (:func:`_lattice`), the one
+place the admissibility rule is written, and keeps the best hypothesis per
+(end position, last subword) state.  Each hypothesis leads with ``(-score,
 subword count, sequence)``, so plain tuple comparison is the candidate
 order: highest score, then fewer subwords, then the lexicographically
-smallest sequence.  Negation is exact, so returned scores keep their bits.
+smallest sequence.  :func:`exact_segment` extends every state;
+:func:`beam_segment` first cuts each position to its ``beam_size`` first
+states.  Negation is exact, so returned scores keep their bits.
 
-Model files: a ``LEGROS-BIGRAM v1`` header, one ``|S|=<n> total=<t>
-maxlen=<m>`` summary line, a ``#UNIGRAMS`` section of ``subword<TAB>count``
-rows, and a ``#BIGRAMS`` section of ``prev<TAB>next<TAB>count`` rows.
+Model files: a ``LEGROS-BIGRAM v2`` header, one ``|S|=<n> total=<t>
+maxlen=<m> bigrams=<k>`` summary line, a ``#UNIGRAMS`` section of
+``subword<TAB>count`` rows, and a ``#BIGRAMS`` section of k
+``prev<TAB>next<TAB>count`` rows.  The row count makes a file that lost
+bigram rows fail to load; v1 files, which lack it, are refused.
 """
 
 from __future__ import annotations
@@ -51,12 +56,10 @@ from subseg.textio import (
 
 START_SYMBOL = "###"
 
-_MODEL_HEADER = "LEGROS-BIGRAM v1"
+_MODEL_HEADER = "LEGROS-BIGRAM v2"
 
 # (negated score, subword count, sequence): tuple order is the candidate order.
 _Hypothesis = tuple[float, int, tuple[str, ...]]
-# A beam hypothesis also carries its last subword (START_SYMBOL when empty).
-_BeamHypothesis = tuple[float, int, tuple[str, ...], str]
 # One context's step scores: the logs of its stored next tokens, and the log
 # of any other next token.
 _StepRow = tuple[dict[str, float], float]
@@ -341,54 +344,30 @@ def _lattice(word: str, model: BigramModel) -> list[list[tuple[int, str]]]:
     return lattice
 
 
-def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSegmentation:
-    """Approximate best segmentation of ``word`` under the bigram model.
-
-    Hypotheses are grouped by end position and extended along
-    :func:`_lattice`; a group of more than ``beam_size`` is first cut to its
-    ``beam_size`` first in the candidate order (see the module docstring).
-    Step scores come from :meth:`BigramModel._step_scores`.
-    """
-    _check_token(word, "word", ArgumentError)
-    if beam_size < 1:
-        raise ArgumentError(f"beam_size must be at least 1, got {beam_size}")
-    rows, other = model._step_scores()
-    n = len(word)
-    groups: list[list[_BeamHypothesis]] = [[] for _ in range(n + 1)]
-    groups[0].append((-0.0, 0, (), START_SYMBOL))
-    for start, steps in enumerate(_lattice(word, model)):
-        group = groups[start]
-        if len(group) > beam_size:
-            group = sorted(group)[:beam_size]
-        for negated, count, sequence, prev in group:
-            scores, unseen = rows.get(prev, other)
-            for end, piece in steps:
-                groups[end].append(
-                    (negated - scores.get(piece, unseen), count + 1, sequence + (piece,), piece)
-                )
-    if not groups[n]:
-        raise RuntimeError(f"no complete hypothesis for {word!r}; invariant violated")
-    negated, _, sequence, _ = min(groups[n])
-    return ScoredSegmentation(sequence, -negated)
-
-
-def exact_segment(word: str, model: BigramModel) -> ScoredSegmentation:
-    """Exact best segmentation by dynamic programming.
+def _search(word: str, model: BigramModel, beam_size: int | None) -> ScoredSegmentation:
+    """Best segmentation of ``word``, with at most ``beam_size`` states extended per position.
 
     The state is (end position, last subword): bigram scores depend only on
-    the previous subword, so one best hypothesis per state suffices.  It
-    walks :func:`_lattice` start by start, so each state is final when it is
-    extended, and keeps the candidate order of :func:`beam_segment`, which
-    makes this the reference the beam is checked against.
-    Step scores come from :meth:`BigramModel._step_scores`, as in the beam.
+    the previous subword, so one best hypothesis per state suffices.  The
+    search walks :func:`_lattice` start by start, so each state is final
+    when it is extended.  With a ``beam_size``, a start position holding
+    more states first keeps its ``beam_size`` first in the candidate order.
+    A position holds at most one state per piece length, so a ``beam_size``
+    of ``max(1, model.max_subword_length)`` or more never cuts.  Step scores
+    come from :meth:`BigramModel._step_scores`.
     """
     _check_token(word, "word", ArgumentError)
+    if beam_size is not None and beam_size < 1:
+        raise ArgumentError(f"beam_size must be at least 1, got {beam_size}")
     rows, other = model._step_scores()
     n = len(word)
     states: list[dict[str, _Hypothesis]] = [{} for _ in range(n + 1)]
     states[0][START_SYMBOL] = (-0.0, 0, ())
     for start, steps in enumerate(_lattice(word, model)):
-        for prev, (negated, count, sequence) in states[start].items():
+        extended = states[start].items()
+        if beam_size is not None and len(extended) > beam_size:
+            extended = sorted(extended, key=lambda state: state[1])[:beam_size]
+        for prev, (negated, count, sequence) in extended:
             scores, unseen = rows.get(prev, other)
             for end, piece in steps:
                 candidate = (negated - scores.get(piece, unseen), count + 1, sequence + (piece,))
@@ -401,11 +380,22 @@ def exact_segment(word: str, model: BigramModel) -> ScoredSegmentation:
     return ScoredSegmentation(sequence, -negated)
 
 
+def exact_segment(word: str, model: BigramModel) -> ScoredSegmentation:
+    """Exact best segmentation: :func:`_search` with no cut."""
+    return _search(word, model, None)
+
+
+def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSegmentation:
+    """Best segmentation found extending ``beam_size`` states per position; see :func:`_search`."""
+    return _search(word, model, beam_size)
+
+
 def save_model(model: BigramModel, path: str | Path) -> None:
     with atomic_text_writer(path) as handle:
         handle.write(f"{_MODEL_HEADER}\n")
         handle.write(
-            f"|S|={model.size} total={model.total_tokens} maxlen={model.max_subword_length}\n"
+            f"|S|={model.size} total={model.total_tokens} "
+            f"maxlen={model.max_subword_length} bigrams={len(model._bigrams)}\n"
         )
         handle.write("#UNIGRAMS\n")
         for token, count in model.unigram_items():
@@ -420,19 +410,23 @@ def load_model(path: str | Path) -> BigramModel:
     if not lines:
         raise ParseError("empty model file, missing header", 1)
     if lines[0] != _MODEL_HEADER:
-        raise ParseError(f"unsupported model header {lines[0]!r}, expected {_MODEL_HEADER!r}", 1)
+        raise ParseError(
+            f"unsupported model header {lines[0]!r}, expected {_MODEL_HEADER!r}; "
+            "re-run distill to write the model again",
+            1,
+        )
     if len(lines) < 2:
         raise ParseError("missing summary line", 2)
     summary = lines[1].split(" ")
     declared: dict[str, int] = {}
-    if len(summary) == 3:
+    if len(summary) == 4:
         for field in summary:
             name, _, value = field.partition("=")
             try:
                 declared[name] = int(value)
             except ValueError:
                 break
-    if set(declared) != {"|S|", "total", "maxlen"}:
+    if set(declared) != {"|S|", "total", "maxlen", "bigrams"}:
         raise ParseError(f"bad summary line {lines[1]!r}", 2)
     if len(lines) < 3 or lines[2] != "#UNIGRAMS":
         raise ParseError("expected '#UNIGRAMS' section", 3)
@@ -477,16 +471,13 @@ def load_model(path: str | Path) -> BigramModel:
         # and the bigram rows, which the model numbers on from the unigrams.
         line = 4 + exc.row if exc.row < len(unigrams) else 5 + exc.row
         raise ParseError(str(exc), line) from None
-    if model.size != declared["|S|"]:
-        raise ParseError(f"declared |S|={declared['|S|']} but found {model.size} subwords", 2)
-    if model.total_tokens != declared["total"]:
-        raise ParseError(
-            f"declared total={declared['total']} but counts sum to {model.total_tokens}", 2
-        )
-    if model.max_subword_length != declared["maxlen"]:
-        raise ParseError(
-            f"declared maxlen={declared['maxlen']} but longest subword has "
-            f"length {model.max_subword_length}",
-            2,
-        )
+    found = {
+        "|S|": model.size,
+        "total": model.total_tokens,
+        "maxlen": model.max_subword_length,
+        "bigrams": len(bigrams),
+    }
+    for name, value in found.items():
+        if declared[name] != value:
+            raise ParseError(f"declared {name}={declared[name]} but the rows give {value}", 2)
     return model

@@ -276,15 +276,15 @@ def _cmd_distill(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     from subseg import bigram
 
-    if not args.exact and args.beam < 1:
+    if args.beam is not None and args.beam < 1:
         raise ArgumentError(f"beam_size must be at least 1, got {args.beam}")
     model = _load(bigram.load_model, args.model)
 
-    # Both searches are deterministic per (word, model), so memoizing each
-    # word type's text is exact; the bound keeps memory flat on streaming input.
+    # The search is deterministic per (word, model), so memoizing each word
+    # type's text is exact; the bound keeps memory flat on streaming input.
     @functools.lru_cache(maxsize=_SEGMENT_MEMO_SIZE)
     def segment_word(word: str) -> str:
-        if args.exact:
+        if args.beam is None:
             return " ".join(bigram.exact_segment(word, model).subwords)
         return " ".join(bigram.beam_segment(word, model, beam_size=args.beam).subwords)
 
@@ -427,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("segment", help="segment running text with a bigram model")
     p.add_argument("corpus", nargs="?", default="-")
     p.add_argument("--model", type=_file, required=True)
-    p.add_argument("--beam", type=int, default=5, help="beam width")
-    p.add_argument("--exact", action="store_true", help="use the exact dynamic program")
+    p.add_argument("--beam", type=int, metavar="N", help="extend only the N best states per position")
     p.add_argument("--word-per-line", action="store_true")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=_cmd_segment)

@@ -96,6 +96,8 @@ def atomic_text_writer(path: str | Path) -> Iterator[IO[str]]:
 
 # Bytes read from a corpus and decoded at a time.
 _READ_BLOCK = 1 << 16
+# The UTF-8 byte order mark; a stream may start with one, which is not text.
+_BOM = b"\xef\xbb\xbf"
 
 
 def read_corpus(source: str | Path | IO[str] | IO[bytes] | Iterable[str]) -> Iterator[str]:
@@ -105,7 +107,8 @@ def read_corpus(source: str | Path | IO[str] | IO[bytes] | Iterable[str]) -> Ite
     and binary streams are decoded strictly as UTF-8, a block of lines at a
     time; a block that does not decode is decoded again line by line, so a
     bad byte sequence is reported with its line number instead of surfacing
-    as a bare UnicodeDecodeError.
+    as a bare UnicodeDecodeError.  A byte order mark that starts the bytes
+    is dropped; a U+FEFF anywhere after it is text.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
@@ -144,7 +147,13 @@ def _decode_lines(handle: IO[bytes], lineno: int = 1, size: int | None = None) -
 
 
 def _decode_block(block: bytes, lineno: int) -> Iterator[str]:
-    """The lines of ``block``, numbered from ``lineno``; a final newline ends the last one."""
+    """The lines of ``block``, numbered from ``lineno``; a final newline ends the last one.
+
+    Line 1 starts the stream, so a byte order mark that starts it is
+    dropped; a block of nothing else then holds no line.
+    """
+    if lineno == 1:
+        block = block.removeprefix(_BOM)
     try:
         text = block.decode("utf-8")
     except UnicodeDecodeError:
@@ -158,7 +167,7 @@ def _decode_block(block: bytes, lineno: int) -> Iterator[str]:
             yield line.rstrip("\r\n")
         return
     lines = text.split("\n")
-    if text.endswith("\n"):
+    if not text or text.endswith("\n"):
         lines.pop()
     if "\r" in text:
         lines = [line.rstrip("\r") for line in lines]

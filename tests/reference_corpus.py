@@ -3,7 +3,7 @@
 The corpus stages once did their word-type work per token: ``segment-embed``
 looked up, copied and joined each token's pieces, ``distill`` split and
 tupled every line, ``segment`` joined each token's cached pieces, the bigram
-beam computed the smoothed log of every extension with its own call, and
+search computed the smoothed log of every extension with its own call, and
 ``init-bpe`` segmented every vocabulary word with ``MergeRules``.  They now
 do that work once per distinct word or line, and every smoothed log comes
 from one table per model.  These copies of the per-token versions are the
@@ -84,17 +84,21 @@ def log_prob(model: BigramModel, next_token: str, prev_token: str) -> float:
 
 
 def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSegmentation:
-    """The bigram beam with one :func:`log_prob` call per extension."""
+    """The bigram search with one :func:`log_prob` call per extension.
+
+    Each (end position, last subword) state keeps its best hypothesis, and
+    a position holding more than ``beam_size`` states extends only its
+    ``beam_size`` first in the candidate order.
+    """
     _check_token(word, "word", ArgumentError)
     if beam_size < 1:
         raise ArgumentError(f"beam_size must be at least 1, got {beam_size}")
     n = len(word)
     max_len = max(model.max_subword_length, 1)
-    groups = [[] for _ in range(n + 1)]
-    groups[0] = [(0.0, 0, ())]
+    states = [{} for _ in range(n + 1)]
+    states[0][START_SYMBOL] = (0.0, 0, ())
     for start in range(n):
-        survivors = _pruned(groups[start], beam_size)
-        groups[start] = survivors
+        survivors = sorted(states[start].values(), key=_candidate_order)[:beam_size]
         for length in range(1, max_len + 1):
             end = start + length
             if end > n:
@@ -104,17 +108,11 @@ def beam_segment(word: str, model: BigramModel, beam_size: int = 5) -> ScoredSeg
                 continue
             for score, count, sequence in survivors:
                 prev = sequence[-1] if sequence else START_SYMBOL
-                groups[end].append(
-                    (score + log_prob(model, piece, prev), count + 1, sequence + (piece,))
-                )
-    complete = _pruned(groups[n], beam_size)
-    if not complete:
+                candidate = (score + log_prob(model, piece, prev), count + 1, sequence + (piece,))
+                incumbent = states[end].get(piece)
+                if incumbent is None or _candidate_order(candidate) < _candidate_order(incumbent):
+                    states[end][piece] = candidate
+    if not states[n]:
         raise RuntimeError(f"no complete hypothesis for {word!r}; invariant violated")
-    best = min(complete, key=_candidate_order)
+    best = min(states[n].values(), key=_candidate_order)
     return ScoredSegmentation(best[2], best[0])
-
-
-def _pruned(hypotheses, beam_size):
-    if len(hypotheses) <= beam_size:
-        return hypotheses
-    return sorted(hypotheses, key=_candidate_order)[:beam_size]

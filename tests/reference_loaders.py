@@ -30,8 +30,15 @@ _HEADER_RE = re.compile(r"^#COOC v1 \|V\|=(\d+) window=(\d+)$")
 
 
 def decode_lines(handle):
-    """The lines of a binary stream, decoded one at a time, without trailing newlines."""
+    """The lines of a binary stream, decoded one at a time, without trailing newlines.
+
+    A UTF-8 byte order mark that starts the stream is dropped.
+    """
     for lineno, raw in enumerate(handle, 1):
+        if lineno == 1 and raw.startswith(b"\xef\xbb\xbf"):
+            raw = raw[3:]
+            if not raw:
+                return
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as exc:

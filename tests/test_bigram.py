@@ -332,6 +332,24 @@ def test_exact_tie_goes_to_the_lexicographically_smallest_sequence():
     assert exact_segment("abc", model) == (("a", "bc"), tie)
 
 
+def test_a_beam_as_wide_as_the_longest_subword_is_exact():
+    # A position holds at most one state per piece length, so this beam
+    # never cuts.  The pinned word's "d dd" and "dd d" tie exactly, and the
+    # tie goes to the smaller sequence.
+    model = distill([["dd", "baacb"], ["b", "aa"]])
+    cases = [(model, "bcadddcazazb")]
+    assert beam_segment("bcadddcazazb", model).subwords[3:5] == ("dd", "d")
+    rng = np.random.default_rng(56)
+    for _ in range(300):
+        word = "".join("abcdz"[i] for i in rng.integers(0, 5, int(rng.integers(1, 14))))
+        cases.append((_random_model(rng), word))
+    for model, word in cases:
+        exact = exact_segment(word, model)
+        wide = beam_segment(word, model, beam_size=max(1, model.max_subword_length))
+        assert wide == exact
+        assert wide.score.hex() == exact.score.hex()
+
+
 def test_distilled_corpus_segments_within_inventory():
     groups = [["un", "do", "ing"], ["do", "ing"], ["un", "do"]]
     model = distill(groups)
@@ -357,7 +375,7 @@ def test_model_round_trip(tmp_path):
 def test_zero_bigram_model_serves_fallbacks(tmp_path):
     path = tmp_path / "model.bigram"
     path.write_text(
-        "LEGROS-BIGRAM v1\n|S|=2 total=3 maxlen=1\n#UNIGRAMS\na\t2\nb\t1\n#BIGRAMS\n",
+        "LEGROS-BIGRAM v2\n|S|=2 total=3 maxlen=1 bigrams=0\n#UNIGRAMS\na\t2\nb\t1\n#BIGRAMS\n",
         encoding="utf-8",
     )
     model = load_model(path)
@@ -372,14 +390,14 @@ def test_load_model_rejects_header_and_count_tampering(tmp_path):
     with pytest.raises(ValidationError, match="header"):
         load_model(path)
     path.write_text(
-        "LEGROS-BIGRAM v1\n|S|=4 total=99 maxlen=2\n#UNIGRAMS\nab\t1\nc\t1\na\t0\nb\t0\n"
+        "LEGROS-BIGRAM v2\n|S|=4 total=99 maxlen=2 bigrams=2\n#UNIGRAMS\nab\t1\nc\t1\na\t0\nb\t0\n"
         "#BIGRAMS\n###\tab\t1\nab\tc\t1\n",
         encoding="utf-8",
     )
     with pytest.raises(ValidationError, match="total"):
         load_model(path)
     path.write_text(
-        "LEGROS-BIGRAM v1\n|S|=4 total=2 maxlen=2\n#UNIGRAMS\nab\t1\nc\t1\na\t0\nb\t0\n"
+        "LEGROS-BIGRAM v2\n|S|=4 total=2 maxlen=2 bigrams=2\n#UNIGRAMS\nab\t1\nc\t1\na\t0\nb\t0\n"
         "#BIGRAMS\n###\tab\t1\nab\tc\t5\n",
         encoding="utf-8",
     )
@@ -390,15 +408,15 @@ def test_load_model_rejects_header_and_count_tampering(tmp_path):
 def test_load_model_parse_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "model.bigram"
     path.write_text(
-        "LEGROS-BIGRAM v1\n|S|=1 total=1 maxlen=1\n#UNIGRAMS\na\tmany\n#BIGRAMS\n",
+        "LEGROS-BIGRAM v2\n|S|=1 total=1 maxlen=1 bigrams=0\n#UNIGRAMS\na\tmany\n#BIGRAMS\n",
         encoding="utf-8",
     )
     with pytest.raises(ParseError, match="line 4"):
         load_model(path)
 
 
-def _model_text(unigrams, bigrams, summary="|S|=2 total=2 maxlen=1"):
-    return f"LEGROS-BIGRAM v1\n{summary}\n#UNIGRAMS\n{unigrams}#BIGRAMS\n{bigrams}"
+def _model_text(unigrams, bigrams, summary="|S|=2 total=2 maxlen=1 bigrams=2"):
+    return f"LEGROS-BIGRAM v2\n{summary}\n#UNIGRAMS\n{unigrams}#BIGRAMS\n{bigrams}"
 
 
 @pytest.mark.parametrize(
@@ -430,12 +448,13 @@ def test_load_model_names_the_line_of_an_entry_the_model_rejects(tmp_path, unigr
 )
 def test_load_model_names_the_summary_line_of_a_wrong_total(tmp_path, summary, problem):
     path = tmp_path / "model.bigram"
+    summary += " bigrams=1"
     path.write_text(_model_text("a\t1\nb\t1\n", "###\ta\t1\n", summary), encoding="utf-8")
     with pytest.raises(ParseError, match=problem) as excinfo:
         load_model(path)
     assert excinfo.value.line_number == 2
-    path.write_text("LEGROS-BIGRAM v2\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="unsupported model header") as excinfo:
+    path.write_text(f"LEGROS-BIGRAM v1\n{summary}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="unsupported model header.*re-run distill") as excinfo:
         load_model(path)
     assert excinfo.value.line_number == 1
     assert str(path) not in str(excinfo.value)

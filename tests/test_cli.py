@@ -294,7 +294,7 @@ def test_segment_beam_equals_library_calls(pipeline, tmp_path, monkeypatch):
         == 0
     )
     got = out.read_text(encoding="utf-8").splitlines()
-    expected = [" ".join(beam_segment(w, model).subwords) for w in words]
+    expected = [" ".join(exact_segment(w, model).subwords) for w in words]
     assert got == expected
 
     # Repeated words and several words per line: each word type is searched
@@ -302,7 +302,7 @@ def test_segment_beam_equals_library_calls(pipeline, tmp_path, monkeypatch):
     lines = ["badim rekun badim", "", "zzz badim zzz zzz", "rekun"]
     lines_file = tmp_path / "lines.txt"
     lines_file.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    for flags, search in (([], beam_segment), (["--exact"], exact_segment)):
+    for flags, search in (([], exact_segment), (["--beam", "5"], beam_segment)):
         calls = []
 
         def counted(word, *rest, _search=search, **options):
@@ -321,32 +321,38 @@ def test_segment_beam_equals_library_calls(pipeline, tmp_path, monkeypatch):
         assert sorted(calls) == ["badim", "rekun", "zzz"]
 
 
-def test_segment_exact_flag(pipeline, tmp_path):
+def test_segment_default_equals_beam_5_on_a_pipeline_word(pipeline, tmp_path):
     words_file = tmp_path / "words.txt"
     words_file.write_text("badim\n", encoding="utf-8")
-    beam_out = tmp_path / "beam.txt"
-    exact_out = tmp_path / "exact.txt"
-    assert (
-        main(
-            ["segment", str(words_file), "--model", str(pipeline["model"]), "-o", str(beam_out)]
-        )
-        == 0
-    )
-    assert (
-        main(
-            [
-                "segment",
-                str(words_file),
-                "--model",
-                str(pipeline["model"]),
-                "--exact",
-                "-o",
-                str(exact_out),
-            ]
-        )
-        == 0
-    )
-    assert beam_out.read_text(encoding="utf-8") == exact_out.read_text(encoding="utf-8")
+    args = ["segment", str(words_file), "--model", str(pipeline["model"])]
+    assert main([*args, "-o", str(tmp_path / "exact.txt")]) == 0
+    assert main([*args, "--beam", "5", "-o", str(tmp_path / "beam.txt")]) == 0
+    assert (tmp_path / "beam.txt").read_bytes() == (tmp_path / "exact.txt").read_bytes()
+
+
+def test_segment_searches_exactly_unless_given_a_beam(tmp_path, capsys):
+    # At width 1 the beam keeps "a b" (6/14 · 6/10) over "ab" (2/14) at
+    # position 2; then "a b c" scores below the exact "ab c".
+    model = tmp_path / "model.bigram"
+    groups = ["a b"] * 5 + ["ab c"] + ["b d"] * 3
+    (tmp_path / "train.seg").write_text("".join(g + "\n" for g in groups), encoding="utf-8")
+    assert main(["distill", str(tmp_path / "train.seg"), "-o", str(model)]) == 0
+    words = ["abc", "abcabc", "dab", "q"]
+    (tmp_path / "words.txt").write_text("".join(w + "\n" for w in words), encoding="utf-8")
+    args = ["segment", str(tmp_path / "words.txt"), "--model", str(model)]
+    assert main([*args, "-o", str(tmp_path / "exact.txt")]) == 0
+    loaded = load_model(model)
+    expected = "".join(" ".join(exact_segment(w, loaded).subwords) + "\n" for w in words)
+    assert (tmp_path / "exact.txt").read_text(encoding="utf-8") == expected
+    assert main([*args, "--beam", "1", "-o", str(tmp_path / "narrow.txt")]) == 0
+    narrow = "".join(" ".join(beam_segment(w, loaded, beam_size=1).subwords) + "\n" for w in words)
+    assert (tmp_path / "narrow.txt").read_text(encoding="utf-8") == narrow
+    assert narrow != expected
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, "--exact", "-o", str(tmp_path / "old.txt")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --exact" in capsys.readouterr().err
+    assert not (tmp_path / "old.txt").exists()
 
 
 def test_eval_boundaries_output(pipeline, tmp_path):
@@ -560,16 +566,6 @@ def test_segment_rejects_a_beam_below_1_whatever_the_input(pipeline, tmp_path, m
     assert code == 2
     assert capsys.readouterr().err == f"error: beam_size must be at least 1, got {beam}\n"
     assert not out.exists()
-
-
-def test_segment_exact_ignores_the_beam(pipeline, tmp_path):
-    words = tmp_path / "words.txt"
-    words.write_text("badim\n", encoding="utf-8")
-    out = tmp_path / "out.seg"
-    args = ["segment", str(words), "--model", str(pipeline["model"]), "--exact"]
-    assert main([*args, "--beam", "0", "-o", str(out)]) == 0
-    assert main([*args, "-o", str(tmp_path / "default.seg")]) == 0
-    assert out.read_bytes() == (tmp_path / "default.seg").read_bytes()
 
 
 def test_solving_stages_never_load_scipy_linalg(pipeline, tmp_path):
@@ -890,6 +886,38 @@ def _replace_line(line, text):
 
 def _zero_start_counts(lines):
     return [line[:-1] + "0" if line.startswith("###\t") else line for line in lines]
+
+
+def test_segment_refuses_a_model_cut_inside_its_bigrams(pipeline, tmp_path, capsys):
+    lines = pipeline["model"].read_text(encoding="utf-8").splitlines(keepends=True)
+    middle = (lines.index("#BIGRAMS\n") + len(lines)) // 2
+    cut = tmp_path / "cut.bigram"
+    cut.write_text("".join(lines[:middle]), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["segment", str(pipeline["corpus"]), "--model", str(cut), "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cut}: line 2: declared bigrams="), err
+    assert not out.exists()
+
+
+_BOM = "\ufeff".encode("utf-8")
+
+
+def test_vocab_ignores_a_byte_order_mark_before_the_corpus(pipeline, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(_BOM + pipeline["corpus"].read_bytes())
+    vocab = tmp_path / "vocab.tsv"
+    assert main(["vocab", str(corpus), "--max-size", "5000", "-o", str(vocab)]) == 0
+    assert vocab.read_bytes() == pipeline["vocab"].read_bytes()
+
+
+def test_cooc_ignores_a_byte_order_mark_before_the_vocabulary(pipeline, tmp_path):
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_bytes(_BOM + pipeline["vocab"].read_bytes())
+    counts = tmp_path / "counts.tsv"
+    args = ["cooc", str(pipeline["corpus"]), "--vocab", str(vocab), "--window", "5", "-o", str(counts)]
+    assert main(args) == 0
+    assert counts.read_bytes() == pipeline["counts"].read_bytes()
 
 
 @pytest.mark.parametrize(

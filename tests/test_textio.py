@@ -69,7 +69,7 @@ def _lines_or_error(lines):
 _CORPUS_BYTES = st.lists(
     st.sampled_from(
         (b"a", b" ", b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xc3", b"\xa9", b"\xff", b"\xe2\x82",
-         b"\xed\xa0\x80", b"\xf0\x9f\x98\x80")
+         b"\xed\xa0\x80", b"\xf0\x9f\x98\x80", b"\xef\xbb\xbf", b"\xef\xbb")
     ),
     max_size=40,
 ).map(b"".join)
@@ -115,6 +115,14 @@ def test_read_corpus_yields_a_pipe_line_as_it_arrives():
         assert next(lines) == "first"
         writer.write(b" half\n")
         assert next(lines) == "second half"
+
+
+def test_read_corpus_drops_only_a_leading_byte_order_mark():
+    data = "\ufeffa\ufeff b\n\ufeffc\n".encode("utf-8")
+    for block in (1, 2, 1 << 16):
+        # Below three bytes a block splits the mark across reads.
+        with mock.patch.object(textio, "_READ_BLOCK", block):
+            assert list(read_corpus(io.BytesIO(data))) == ["a\ufeff b", "\ufeffc"]
 
 
 def test_missing_corpus_file_raises_oserror(tmp_path):
